@@ -8,6 +8,11 @@ when at least match_fraction of the co-visible references lie within
 point_tolerance; the assignment then maximizes the number of admissible
 matches and, among those, minimizes the total mean pointwise distance.
 Near/far buckets split at y = 40 m: y < 40 is near, y >= 40 is far.
+
+The probability-threshold sweep only changes which predictions a frame
+keeps, so each frame's lanes are resampled and its cost, admissibility and
+co-visibility tables are built once; the assignment then runs once per
+distinct kept-prediction set, on those tables' kept columns.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInput
 from .model import Lane3D, Prediction, Scene
@@ -130,6 +134,9 @@ def _assignment(cost: np.ndarray, admissible: np.ndarray) -> list[tuple[int, int
     n, m = cost.shape
     if n == 0 or m == 0:
         return []
+    # Deferred: scipy.optimize is most of the cost of importing lane3d.
+    from scipy.optimize import linear_sum_assignment
+
     big = 1.0 + float(np.sum(cost[admissible])) if np.any(admissible) else 1.0
     size = n + m
     padded = np.zeros((size, size))
@@ -144,22 +151,29 @@ def _assignment(cost: np.ndarray, admissible: np.ndarray) -> list[tuple[int, int
     return out
 
 
-def match_lanes(gt: list[Lane3D], pred: list[tuple[Lane3D, float]],
-                cfg: MatchConfig, h_cam: float, frame_id: str = "") -> FrameMatching:
-    """Min-cost matching between GT and predicted lanes of one frame.
+@dataclass
+class _FrameTables:
+    """Threshold-invariant matching state of one frame: resampled lanes and
+    the GT x prediction tables over every candidate prediction."""
 
-    Predictions arrive as (lane, prob) tuples already filtered at the
-    caller's probability threshold; edge cost is the mean pointwise
-    flat-ground/height distance over co-visible references.
-    """
+    gt: list[Lane3D]
+    pred: list[Lane3D]
+    gt_rs: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    pred_rs: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    cost: np.ndarray            # mean distance; inf without co-visibility
+    admissible: np.ndarray
+    covis: dict                 # (gt index, pred index) -> co-visible refs
+
+
+def _frame_tables(gt: list[Lane3D], pred: list[Lane3D], cfg: MatchConfig,
+                  h_cam: float) -> _FrameTables:
     refs = np.asarray(cfg.eval_y_refs, dtype=float)
     gt_rs = [resample_flat(lane, h_cam, refs) for lane in gt]
-    pred_rs = [resample_flat(lane, h_cam, refs) for lane, _ in pred]
+    pred_rs = [resample_flat(lane, h_cam, refs) for lane in pred]
 
-    n, m = len(gt), len(pred)
-    cost = np.full((n, m), np.inf)
-    admissible = np.zeros((n, m), dtype=bool)
-    dist_cache = {}
+    cost = np.full((len(gt), len(pred)), np.inf)
+    admissible = np.zeros(cost.shape, dtype=bool)
+    covis_of = {}
     for gi, (gx, gz, gvis) in enumerate(gt_rs):
         for pi, (px, pz, pvis) in enumerate(pred_rs):
             covis = gvis & pvis
@@ -168,24 +182,35 @@ def match_lanes(gt: list[Lane3D], pred: list[tuple[Lane3D, float]],
             d = np.sqrt((gx[covis] - px[covis]) ** 2 + (gz[covis] - pz[covis]) ** 2)
             cost[gi, pi] = float(np.mean(d))
             admissible[gi, pi] = float(np.mean(d <= cfg.point_tolerance)) >= cfg.match_fraction
-            dist_cache[(gi, pi)] = (covis, d)
+            covis_of[(gi, pi)] = covis
+    return _FrameTables(gt=gt, pred=pred, gt_rs=gt_rs, pred_rs=pred_rs,
+                        cost=cost, admissible=admissible, covis=covis_of)
 
+
+def _match_columns(tables: _FrameTables, cols: list[int], cfg: MatchConfig,
+                   frame_id: str) -> FrameMatching:
+    """Matching against the predictions in columns `cols` (ascending) of the
+    frame's tables; prediction indices in the result are positions in `cols`.
+    Every cost entry is computed independently, so this equals matching the
+    kept predictions from scratch."""
+    cost = tables.cost[:, cols]
     cost_for_solver = np.where(np.isfinite(cost), cost, 0.0)
-    matches = _assignment(cost_for_solver, admissible)
+    matches = _assignment(cost_for_solver, tables.admissible[:, cols])
 
-    far = refs >= cfg.near_far_split
+    far = np.asarray(cfg.eval_y_refs, dtype=float) >= cfg.near_far_split
     stats = []
     out_matches = []
     for gi, pi in matches:
-        covis, _ = dist_cache[(gi, pi)]
-        gx, gz, _ = gt_rs[gi]
-        px, pz, _ = pred_rs[pi]
+        col = cols[pi]
+        covis = tables.covis[(gi, col)]
+        gx, gz, _ = tables.gt_rs[gi]
+        px, pz, _ = tables.pred_rs[col]
         dx = np.abs(gx - px)
         dz = np.abs(gz - pz)
         near_sel = covis & ~far
         far_sel = covis & far
         stats.append(PairStats(
-            frame_id=frame_id, gt_id=gt[gi].id, pred_id=pred[pi][0].id,
+            frame_id=frame_id, gt_id=tables.gt[gi].id, pred_id=tables.pred[col].id,
             cost=cost[gi, pi],
             x_near_sum=float(np.sum(dx[near_sel])), x_far_sum=float(np.sum(dx[far_sel])),
             z_near_sum=float(np.sum(dz[near_sel])), z_far_sum=float(np.sum(dz[far_sel])),
@@ -197,9 +222,21 @@ def match_lanes(gt: list[Lane3D], pred: list[tuple[Lane3D, float]],
     return FrameMatching(
         frame_id=frame_id,
         matches=out_matches,
-        unmatched_gt=[i for i in range(n) if i not in matched_gt],
-        unmatched_pred=[i for i in range(m) if i not in matched_pred],
+        unmatched_gt=[i for i in range(len(tables.gt)) if i not in matched_gt],
+        unmatched_pred=[i for i in range(len(cols)) if i not in matched_pred],
         pair_stats=stats)
+
+
+def match_lanes(gt: list[Lane3D], pred: list[tuple[Lane3D, float]],
+                cfg: MatchConfig, h_cam: float, frame_id: str = "") -> FrameMatching:
+    """Min-cost matching between GT and predicted lanes of one frame.
+
+    Predictions arrive as (lane, prob) tuples already filtered at the
+    caller's probability threshold; edge cost is the mean pointwise
+    flat-ground/height distance over co-visible references.
+    """
+    tables = _frame_tables(gt, [lane for lane, _ in pred], cfg, h_cam)
+    return _match_columns(tables, list(range(len(pred))), cfg, frame_id)
 
 
 @dataclass(frozen=True)
@@ -376,23 +413,35 @@ def write_report_csv(report: EvalReport, path) -> None:
 def evaluate_frames(gt_scenes: list[Scene], predictions: list[Prediction],
                     cfg: MatchConfig = MatchConfig()) -> EvalReport:
     """Full protocol over aligned frames: sweep the probability thresholds,
-    report AP over the sweep and the metrics of the best-F threshold."""
+    report AP over the sweep and the metrics of the best-F threshold.
+
+    Per frame, the lanes are resampled and the cost tables built once, over
+    the predictions kept at the lowest threshold; each threshold keeps the
+    columns with prob >= threshold, and the assignment runs once per
+    distinct kept set, shared by every threshold that keeps that set.
+    """
     pred_by_frame = {p.frame_id: p for p in predictions}
     missing = [s.frame_id for s in gt_scenes if s.frame_id not in pred_by_frame]
     if missing:
         raise InvalidInput(f"predictions missing for frames: {', '.join(missing)}")
 
-    sweeps = []
-    for threshold in cfg.prob_thresholds:
-        matchings = []
-        for scene in gt_scenes:
-            pred = pred_by_frame[scene.frame_id]
-            kept = [(lane, prob) for lane, prob in zip(pred.lanes, pred.probs)
-                    if prob >= threshold]
-            matchings.append(match_lanes(scene.lanes, kept, cfg,
-                                         scene.camera.height_m, scene.frame_id))
-        sweeps.append((threshold, compute_fscore(matchings), matchings))
+    lowest = min(cfg.prob_thresholds)
+    per_threshold = [[] for _ in cfg.prob_thresholds]
+    for scene in gt_scenes:
+        pred = pred_by_frame[scene.frame_id]
+        candidates = [(lane, prob) for lane, prob in zip(pred.lanes, pred.probs)
+                      if prob >= lowest]
+        tables = _frame_tables(scene.lanes, [lane for lane, _ in candidates], cfg,
+                               scene.camera.height_m)
+        by_kept = {}
+        for threshold, matchings in zip(cfg.prob_thresholds, per_threshold):
+            cols = tuple(j for j, (_, prob) in enumerate(candidates) if prob >= threshold)
+            if cols not in by_kept:
+                by_kept[cols] = _match_columns(tables, list(cols), cfg, scene.frame_id)
+            matchings.append(by_kept[cols])
 
+    sweeps = [(threshold, compute_fscore(matchings), matchings)
+              for threshold, matchings in zip(cfg.prob_thresholds, per_threshold)]
     ap = compute_ap([(fs.precision, fs.recall) for _, fs, _ in sweeps])
     best_threshold, best_fs, best_matchings = max(
         sweeps, key=lambda item: (item[1].f_score, -item[0]))

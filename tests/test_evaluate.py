@@ -1,10 +1,13 @@
+import collections
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+import lane3d.evaluate as evaluate_module
 from lane3d.errors import InvalidInput
-from lane3d.evaluate import (MatchConfig, compute_ap,
+from lane3d.evaluate import (EvalReport, FrameBreakdown, MatchConfig, compute_ap,
                              compute_fscore, compute_offset_errors,
                              evaluate_frames, fscore_from_counts,
                              joint_offset_errors, match_lanes, read_report,
@@ -172,6 +175,106 @@ def test_evaluate_missing_frames_listed(pose):
                         lanes=scenes[0].lanes, probs=[1.0, 1.0])]
     with pytest.raises(InvalidInput, match="f1"):
         evaluate_frames(scenes, preds, MatchConfig())
+
+
+def _reference_report(gt_scenes, predictions, cfg):
+    """The protocol as stated: at every threshold, filter each frame's
+    predictions and match them from scratch."""
+    pred_by_frame = {p.frame_id: p for p in predictions}
+    sweeps = []
+    for threshold in cfg.prob_thresholds:
+        matchings = []
+        for scene in gt_scenes:
+            pred = pred_by_frame[scene.frame_id]
+            kept = [(lane, prob) for lane, prob in zip(pred.lanes, pred.probs)
+                    if prob >= threshold]
+            matchings.append(match_lanes(scene.lanes, kept, cfg,
+                                         scene.camera.height_m, scene.frame_id))
+        sweeps.append((threshold, compute_fscore(matchings), matchings))
+    ap = compute_ap([(fs.precision, fs.recall) for _, fs, _ in sweeps])
+    best_threshold, best_fs, best_matchings = max(
+        sweeps, key=lambda item: (item[1].f_score, -item[0]))
+    all_stats = [s for m in best_matchings for s in m.pair_stats]
+    offsets = compute_offset_errors(all_stats)
+    return EvalReport(
+        f_score=best_fs.f_score, ap=ap, precision=best_fs.precision,
+        recall=best_fs.recall, best_threshold=best_threshold,
+        x_err_near=offsets.x_near, x_err_far=offsets.x_far,
+        z_err_near=offsets.z_near, z_err_far=offsets.z_far,
+        empty=offsets.empty,
+        matched_pairs=[(s.frame_id, s.gt_id, s.pred_id) for s in all_stats],
+        per_frame=[FrameBreakdown(frame_id=m.frame_id, tp=m.tp, fp=m.fp, fn=m.fn,
+                                  pair_stats=m.pair_stats) for m in best_matchings],
+        pr_curve=[(t, fs.precision, fs.recall) for t, fs, _ in sweeps])
+
+
+# Flat-ground y folds back (22.8 m, then 20 m): resampling this lane raises.
+FOLDED_LANE = Lane3D(id="folded", points=np.array([[0.0, 10.0, 1.0], [0.0, 20.0, 0.0]]),
+                     visibility=np.ones(2, dtype=int))
+BELOW_EVERY_THRESHOLD = 0.01
+
+
+def _mixed_probability_frames(pose):
+    """Noisy predictions with per-lane probabilities, some equal to a
+    threshold and all at most 0.9; a frame without predictions, one without
+    GT, and a folded lane whose probability no threshold keeps."""
+    rng = np.random.default_rng(89)
+    ys = np.arange(4.0, 101.0, 4.0)
+    scenes, preds = [], []
+    for k in range(4):
+        scene = generate_scene(RoadSpec(), seed=k, frame_id=f"f{k}")
+        lanes = [_biased_lane(lane, dx_far=float(rng.uniform(0.0, 2.5)),
+                              dz=float(rng.uniform(0.0, 0.3))) for lane in scene.lanes]
+        duplicate = _biased_lane(scene.lanes[0], dx_far=0.4)
+        lanes.append(Lane3D(id="duplicate", points=duplicate.points,
+                            visibility=duplicate.visibility))
+        lanes.append(straight_lane("spurious", float(rng.uniform(15.0, 25.0)), ys))
+        probs = [float(p) for p in rng.choice([0.05, 0.2, 0.5, 0.62, 0.9], len(lanes))]
+        if k == 0:
+            lanes.append(FOLDED_LANE)
+            probs.append(BELOW_EVERY_THRESHOLD)
+        scenes.append(scene)
+        preds.append(Prediction(frame_id=scene.frame_id, camera=scene.camera,
+                                lanes=lanes, probs=probs))
+    no_pred = generate_scene(RoadSpec(), seed=7, frame_id="no_pred")
+    scenes.append(no_pred)
+    preds.append(Prediction(frame_id="no_pred", camera=pose, lanes=[], probs=[]))
+    scenes.append(Scene(frame_id="no_gt", camera=pose, lanes=[]))
+    preds.append(Prediction(frame_id="no_gt", camera=pose,
+                            lanes=lanes_at([-1.75, 1.75]), probs=[0.3, 0.8]))
+    return scenes, preds
+
+
+@pytest.mark.parametrize("thresholds", [
+    MatchConfig().prob_thresholds,
+    (0.5, 0.2, 0.97, 0.35, 0.05, 0.8),
+])
+def test_sweep_equals_per_threshold_reference_on_mixed_probabilities(pose, thresholds):
+    scenes, preds = _mixed_probability_frames(pose)
+    cfg = MatchConfig(prob_thresholds=thresholds)
+    assert max(thresholds) > max(p for pred in preds for p in pred.probs)
+    report = evaluate_frames(scenes, preds, cfg)
+    # the sweep is not trivial: thresholds change the precision/recall point
+    assert len({(p, r) for _, p, r in report.pr_curve}) >= 3
+    expected = _reference_report(scenes, preds, cfg)
+    assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+
+
+def test_sweep_resamples_each_lane_once_per_frame(monkeypatch, pose):
+    scenes, preds = _mixed_probability_frames(pose)
+    real = evaluate_module.resample_flat
+    calls = collections.Counter()
+
+    def counting(lane, h_cam, y_refs):
+        calls[id(lane)] += 1
+        return real(lane, h_cam, y_refs)
+
+    monkeypatch.setattr(evaluate_module, "resample_flat", counting)
+    evaluate_frames(scenes, preds, MatchConfig())
+    lanes = [lane for s in scenes for lane in s.lanes]
+    lanes += [lane for p in preds for lane, prob in zip(p.lanes, p.probs)
+              if prob != BELOW_EVERY_THRESHOLD]
+    assert dict(calls) == {id(lane): 1 for lane in lanes}
 
 
 def test_joint_identical_reports_equal_plain(pose):
