@@ -4,10 +4,10 @@ rotation augmentation, 2D-to-3D reconstruction and the full lane-detection
 evaluation protocol, exercised on synthetic scenes."""
 
 from .augment import AugmentConfig, augment_scene, rot_x, rot_y, rot_z
-from .errors import (DegeneratePair, DegeneratePose, Diverged,
-                     HeightExceedsCamera, InvalidInput, InvariantViolation,
-                     Lane3DError, MismatchedAnchors, NoPairing, OutOfRange,
-                     ParseError, SpecError)
+from .errors import (DegeneratePair, DegeneratePose, HeightExceedsCamera,
+                     InvalidInput, InvariantViolation, Lane3DError,
+                     MismatchedAnchors, NoPairing, OutOfRange, ParseError,
+                     SpecError)
 from .evaluate import (EvalReport, MatchConfig, compute_ap, compute_fscore,
                        compute_offset_errors, evaluate_frames,
                        joint_offset_errors, match_lanes, split_extra_long,
@@ -24,8 +24,7 @@ from .pairing import PairingConfig, match_point_pairs, adjacent_index_pairs
 from .projection import (compute_visibility, ipm_homography,
                          lift_from_virtual_top, project_front_view,
                          project_real_top, project_virtual_top)
-from .reconstruct import (SolveOptions, reconstruct_closed_form,
-                          reconstruct_iterative)
+from .reconstruct import SolveOptions, reconstruct_closed_form
 from .synth import (AnchorConfig, HillProfile, MaskGeometry, RoadSpec,
                     decode_anchors, encode_anchors, generate_scene,
                     generate_scenes, rasterize_top_mask, write_mask_pgm)

@@ -14,14 +14,13 @@ guessed; pass a single string to force one unit everywhere.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInput
-from .model import Lane3D, Scene
+from .model import Config, Lane3D, Scene
 from .projection import compute_visibility
 
 _AXES = ("pitch", "roll", "yaw")
@@ -33,7 +32,7 @@ def _default_units() -> dict:
 
 
 @dataclass(frozen=True)
-class AugmentConfig:
+class AugmentConfig(Config):
     pitch_range: tuple[float, float] = (-0.1, 0.3)
     roll_range: tuple[float, float] = (-3.0, 3.0)
     yaw_range: tuple[float, float] = (-3.0, 3.0)
@@ -44,6 +43,9 @@ class AugmentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.angle_unit, dict) and sorted(self.angle_unit) != sorted(_AXES):
+            raise InvalidInput(
+                f"an angle_unit dict must name exactly the axes {', '.join(_AXES)}")
         for axis in _AXES:
             lo, hi = getattr(self, f"{axis}_range")
             if not lo <= hi:
@@ -57,28 +59,7 @@ class AugmentConfig:
     def unit_for(self, axis: str) -> str:
         if isinstance(self.angle_unit, str):
             return self.angle_unit
-        return self.angle_unit.get(axis, "radians")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AugmentConfig":
-        kwargs = {}
-        for axis in _AXES:
-            key = f"{axis}_range"
-            if key in d:
-                kwargs[key] = tuple(float(v) for v in d[key])
-            pkey = f"p_{axis}"
-            if pkey in d:
-                kwargs[pkey] = float(d[pkey])
-        if "angle_unit" in d:
-            kwargs["angle_unit"] = d["angle_unit"]
-        if "seed" in d:
-            kwargs["seed"] = int(d["seed"])
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, path) -> "AugmentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return self.angle_unit[axis]
 
 
 def rot_x(angle: float) -> np.ndarray:
@@ -144,9 +125,8 @@ def rotate_scene(scene: Scene, rotation: np.ndarray,
     lanes = []
     for lane in scene.lanes:
         pts = lane.points @ rotation.T
-        new_lane = Lane3D(id=lane.id, points=pts, visibility=np.zeros(len(pts), dtype=int))
         lanes.append(Lane3D(id=lane.id, points=pts,
-                            visibility=compute_visibility(new_lane, scene.camera)))
+                            visibility=compute_visibility(pts, scene.camera)))
     merged = dict(scene.metadata)
     if metadata:
         merged.update(metadata)
@@ -172,5 +152,3 @@ def inverse_of(rotation: np.ndarray) -> np.ndarray:
     """Inverse of a rotation matrix (its transpose)."""
     return np.asarray(rotation).T
 
-
-DEFAULT_CONFIG = AugmentConfig()

@@ -10,6 +10,7 @@ matches input ordering.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +22,7 @@ from .augment import AugmentConfig, augment_scene
 from .errors import InvalidInput, Lane3DError
 from .model import FlatFrame, Lane2D, Scene
 from .projection import project_virtual_top_xy
-from .reconstruct import SolveOptions, reconstruct_frame, write_trace_csv
+from .reconstruct import SolveOptions, solve_frame, write_trace_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,6 +59,15 @@ def _parse_config(path, parse):
         raise InvalidInput(f"bad config {path}: {e!r}") from e
 
 
+def _frame_file(directory: Path, frame_id: str, suffix: str) -> Path:
+    """directory/<frame_id><suffix>; a frame id that is not one plain path
+    component (a separator, '..', an absolute path) would write elsewhere,
+    and a NUL byte cannot be opened at all."""
+    if frame_id == ".." or Path(frame_id).name != frame_id or "\0" in frame_id:
+        raise InvalidInput(f"frame id {frame_id!r} is not a plain file name")
+    return directory / f"{frame_id}{suffix}"
+
+
 def cmd_generate(args) -> int:
     config = _parse_config(args.config, dict) if args.config else {}
     try:
@@ -73,22 +83,13 @@ def cmd_augment(args) -> int:
     cfg = _parse_config(args.config, AugmentConfig.from_dict) if args.config \
         else AugmentConfig()
     if args.seed is not None:
-        cfg = AugmentConfig.from_dict({**_cfg_dict(cfg), "seed": args.seed})
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     scenes = model.read_scenes(args.in_path)
     out = _ordered_map(lambda pair: augment_scene(pair[1], cfg, draw_index=pair[0]),
                        list(enumerate(scenes)), args.workers)
     model.write_scenes(out, args.out)
     print(f"augmented {len(out)} scenes to {args.out}", file=sys.stderr)
     return EXIT_OK
-
-
-def _cfg_dict(cfg: AugmentConfig) -> dict:
-    return {
-        "pitch_range": list(cfg.pitch_range), "roll_range": list(cfg.roll_range),
-        "yaw_range": list(cfg.yaw_range), "p_pitch": cfg.p_pitch,
-        "p_roll": cfg.p_roll, "p_yaw": cfg.p_yaw,
-        "angle_unit": cfg.angle_unit, "seed": cfg.seed,
-    }
 
 
 def _project_scene(scene: Scene) -> FlatFrame:
@@ -126,12 +127,12 @@ def cmd_reconstruct(args) -> int:
                                   pitch_rad=frame.camera.pitch_rad,
                                   intrinsics=frame.camera.intrinsics),
                               lanes=frame.lanes)
-        result = reconstruct_frame(frame, opts)
+        result = solve_frame(frame.lanes, frame.camera.height_m, opts)
         if trace_dir is not None:
             out = Path(trace_dir)
             out.mkdir(parents=True, exist_ok=True)
             for k, trace in enumerate(result.traces):
-                write_trace_csv(trace, out / f"{frame.frame_id}_pair{k}.csv")
+                write_trace_csv(trace, _frame_file(out, frame.frame_id, f"_pair{k}.csv"))
         meta = {f"solver_status:{lane_id}": status
                 for lane_id, status in sorted(result.statuses.items())}
         for lane_id, was_clamped in sorted(result.clamped.items()):
@@ -207,7 +208,7 @@ def cmd_plot(args) -> int:
     count = 0
     for scene in scenes:
         svg = plot.render_scene_svg(scene, pred_by_frame.get(scene.frame_id))
-        plot.write_svg(svg, out_dir / f"{scene.frame_id}.svg")
+        plot.write_svg(svg, _frame_file(out_dir, scene.frame_id, ".svg"))
         count += 1
     print(f"wrote {count} figures to {out_dir}", file=sys.stderr)
     return EXIT_OK

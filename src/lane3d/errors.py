@@ -45,9 +45,3 @@ class OutOfRange(Lane3DError):
 class NoPairing(Lane3DError):
     """Point-pair matching rejected every boundary pair; reconstruction has
     no width signal to work with."""
-
-
-class Diverged(Lane3DError):
-    """Iterative solver accepted an increasing objective repeatedly.
-    Unreachable under the default backtracking line search; kept for
-    callers that disable it."""

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .model import Lane3D, Prediction, Scene
-from .projection import project_virtual_top_xy
+from .model import Config, Lane3D, Prediction, Scene
+from .projection import resample_flat
 
 DEFAULT_EVAL_Y_REFS = (5.0, 10.0, 15.0, 20.0, 30.0, 40.0, 50.0, 60.0, 80.0, 100.0)
 DEFAULT_PROB_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 20))
@@ -35,7 +35,7 @@ HARD_Z_THRESHOLD = 1.78
 
 
 @dataclass(frozen=True)
-class MatchConfig:
+class MatchConfig(Config):
     point_tolerance: float = 1.5
     match_fraction: float = 0.75
     eval_y_refs: tuple = DEFAULT_EVAL_Y_REFS
@@ -52,38 +52,6 @@ class MatchConfig:
             raise InvalidInput("eval_y_refs must be nonempty and strictly increasing")
         if not self.prob_thresholds:
             raise InvalidInput("prob_thresholds must be nonempty")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MatchConfig":
-        kwargs = {}
-        for key in ("point_tolerance", "match_fraction", "near_far_split"):
-            if key in d:
-                kwargs[key] = float(d[key])
-        for key in ("eval_y_refs", "prob_thresholds"):
-            if key in d:
-                kwargs[key] = tuple(float(v) for v in d[key])
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, path) -> "MatchConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-
-def resample_flat(lane: Lane3D, h_cam: float, y_refs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Resample a lane at flat-ground y references: returns (x_flat, z, vis)
-    with vis False outside the lane's flat span."""
-    refs = np.asarray(y_refs, dtype=float)
-    flat = project_virtual_top_xy(lane.xy, lane.z, h_cam)
-    fy = flat[:, 1]
-    if not np.all(np.diff(fy) > 0):
-        raise InvalidInput(
-            f"lane '{lane.id}': flat-ground y not strictly increasing")
-    x = np.interp(refs, fy, flat[:, 0])
-    z = np.interp(refs, fy, lane.z)
-    v = np.interp(refs, fy, lane.visibility.astype(float))
-    vis = (v >= 0.5) & (refs >= fy[0]) & (refs <= fy[-1])
-    return x, z, vis
 
 
 @dataclass

@@ -80,22 +80,30 @@ def width_series(left: Lane3D, right: Lane3D, pairs: PairMap, h_cam: float) -> W
 
 
 def second_difference_l1(values: np.ndarray, mask: np.ndarray | None = None,
-                         weight: float = 1.0) -> float:
-    """Sum of weight * |mask_i * (v[i-1] + v[i+1] - 2 v[i])| over interior i."""
+                         weight: float = 1.0) -> tuple[float, np.ndarray]:
+    """Sum of weight * |mask_i * (v[i-1] + v[i+1] - 2 v[i])| over interior i,
+    and its subgradient with respect to v (taken as 0 at the |.| kink)."""
     v = np.asarray(values, dtype=float)
+    grad = np.zeros(len(v))
     if len(v) < 3:
-        return 0.0
+        return 0.0, grad
     t = v[:-2] + v[2:] - 2.0 * v[1:-1]
+    s = weight * np.sign(t)
     if mask is not None:
-        t = t * np.asarray(mask)[1:-1]
-    return float(weight * np.sum(np.abs(t)))
+        m = np.asarray(mask)[1:-1]
+        t = t * m
+        s = s * m
+    grad[:-2] += s
+    grad[2:] += s
+    grad[1:-1] -= 2.0 * s
+    return float(weight * np.sum(np.abs(t))), grad
 
 
 def geo_prior_loss(series: WidthSeries, prob: float) -> float:
     """Geometry-prior loss: probability-weighted L1 of the second differences
     of both width series over the visible span. Zero for fewer than 3 pairs."""
-    return (second_difference_l1(series.d2, series.mask, prob)
-            + second_difference_l1(series.d3, series.mask, prob))
+    return (second_difference_l1(series.d2, series.mask, prob)[0]
+            + second_difference_l1(series.d3, series.mask, prob)[0])
 
 
 def anchor_loss(pred: AnchorSet, gt: AnchorSet) -> float:
@@ -141,6 +149,23 @@ def total_rec_loss(anchor: float, geo: float, w: LossWeights) -> float:
     return anchor + w.lambda_geo * geo
 
 
+def lifted_width(left_flat: np.ndarray, right_flat: np.ndarray, zl: np.ndarray,
+                 zr: np.ndarray, h_cam: float):
+    """3D widths of index-aligned flat-ground pairs lifted to heights zl, zr,
+    with their derivatives: returns (w3, dw3/dzl, dw3/dzr)."""
+    h = h_cam
+    ax, ay = left_flat[:, 0], left_flat[:, 1]
+    bx, by = right_flat[:, 0], right_flat[:, 1]
+    ux = ax * (h - zl) / h - bx * (h - zr) / h
+    uy = ay * (h - zl) / h - by * (h - zr) / h
+    uz = zl - zr
+    w3 = np.sqrt(ux * ux + uy * uy + uz * uz)
+    inv_w3 = 1.0 / np.maximum(w3, 1e-12)
+    dw3_dzl = (-ux * ax / h - uy * ay / h + uz) * inv_w3
+    dw3_dzr = (ux * bx / h + uy * by / h - uz) * inv_w3
+    return w3, dw3_dzl, dw3_dzr
+
+
 def geo_prior_of_heights(z: np.ndarray, left_flat: np.ndarray, right_flat: np.ndarray,
                          h_cam: float, prob: float = 1.0,
                          mask: np.ndarray | None = None):
@@ -156,37 +181,15 @@ def geo_prior_of_heights(z: np.ndarray, left_flat: np.ndarray, right_flat: np.nd
     right_flat = np.asarray(right_flat, dtype=float)
     n = len(left_flat)
     zl, zr = z[:n], z[n:]
-    h = h_cam
-    ax, ay = left_flat[:, 0], left_flat[:, 1]
-    bx, by = right_flat[:, 0], right_flat[:, 1]
+    w3, dw3_dzl, dw3_dzr = lifted_width(left_flat, right_flat, zl, zr, h_cam)
+    d_flat = np.hypot(left_flat[:, 0] - right_flat[:, 0], left_flat[:, 1] - right_flat[:, 1])
+    w2 = d_flat * (h_cam - 0.5 * (zl + zr))
 
-    ux = ax * (h - zl) / h - bx * (h - zr) / h
-    uy = ay * (h - zl) / h - by * (h - zr) / h
-    uz = zl - zr
-    w3 = np.sqrt(ux * ux + uy * uy + uz * uz)
-    inv_w3 = 1.0 / np.maximum(w3, 1e-12)
-    dw3_dzl = (-ux * ax / h - uy * ay / h + uz) * inv_w3
-    dw3_dzr = (ux * bx / h + uy * by / h - uz) * inv_w3
-
-    d_flat = np.hypot(ax - bx, ay - by)
-    w2 = d_flat * (h - 0.5 * (zl + zr))
-
-    m = np.ones(n) if mask is None else np.asarray(mask, dtype=float)
-    value = 0.0
-    g_w3 = np.zeros(n)
-    g_w2 = np.zeros(n)
-    for series, g_out in ((w3, g_w3), (w2, g_w2)):
-        if n < 3:
-            continue
-        t = (series[:-2] + series[2:] - 2.0 * series[1:-1]) * m[1:-1]
-        value += prob * float(np.sum(np.abs(t)))
-        s = prob * np.sign(t) * m[1:-1]
-        g_out[:-2] += s
-        g_out[2:] += s
-        g_out[1:-1] -= 2.0 * s
+    v3, g_w3 = second_difference_l1(w3, mask, prob)
+    v2, g_w2 = second_difference_l1(w2, mask, prob)
     grad = np.concatenate([g_w3 * dw3_dzl - 0.5 * g_w2 * d_flat,
                            g_w3 * dw3_dzr - 0.5 * g_w2 * d_flat])
-    return value, grad
+    return v3 + v2, grad
 
 
 def grad_check(loss_fn, point, eps: float = 1e-6) -> float:

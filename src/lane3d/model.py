@@ -15,16 +15,44 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .errors import InvariantViolation, ParseError
+from .errors import InvalidInput, InvariantViolation, ParseError
 
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise InvariantViolation(msg)
+
+
+class Config:
+    """Mixin for the stage config dataclasses: from_dict builds one from a
+    JSON object, coercing each value by the type of its field's default
+    (float, int, tuple of floats, nested config; anything else as given) and
+    rejecting keys that are not fields."""
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        if not isinstance(d, dict):
+            raise InvalidInput(f"{cls.__name__}: config must be a JSON object")
+        defaults = {f.name: f.default if f.default is not MISSING else f.default_factory()
+                    for f in fields(cls)}
+        unknown = sorted(set(d) - set(defaults))
+        if unknown:
+            raise InvalidInput(f"{cls.__name__}: unknown config keys: {', '.join(unknown)}")
+        return cls(**{key: _coerce(defaults[key], value) for key, value in d.items()})
+
+
+def _coerce(default, value):
+    if isinstance(default, Config):
+        return type(default).from_dict(value)
+    if isinstance(default, tuple):
+        return tuple(float(v) for v in value)
+    if isinstance(default, (float, int)):
+        return type(default)(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -117,16 +145,17 @@ def _check_monotone_y(y: np.ndarray, lane_id: str) -> None:
 
 
 @dataclass(eq=False)
-class Lane3D:
-    """One lane boundary as an ordered 3D polyline with visibility flags."""
+class _Lane:
+    """An ordered boundary polyline with visibility flags; subclasses fix the
+    point type."""
 
     id: str
-    points: np.ndarray       # (N, 3) float
+    points: np.ndarray       # (N, _dim) float
     visibility: np.ndarray   # (N,) int in {0, 1}
 
     def __post_init__(self):
         _require(bool(self.id), "lane id must be nonempty")
-        self.points = _as_points(self.points, 3, self.id)
+        self.points = _as_points(self.points, self._dim, self.id)
         _require(len(self.points) >= 1, f"lane '{self.id}': needs at least one point")
         _check_monotone_y(self.points[:, 1], self.id)
         self.visibility = _as_visibility(self.visibility, len(self.points), self.id)
@@ -137,9 +166,18 @@ class Lane3D:
         return len(self.points)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Lane3D) and self.id == other.id
+        return (type(other) is type(self) and self.id == other.id
                 and np.array_equal(self.points, other.points)
                 and np.array_equal(self.visibility, other.visibility))
+
+    def point(self, i: int):
+        return self._point(*self.points[i])
+
+
+class Lane3D(_Lane):
+    """One lane boundary as an ordered 3D polyline with visibility flags."""
+
+    _point, _dim = Point3D, 3
 
     @property
     def xy(self) -> np.ndarray:
@@ -149,37 +187,11 @@ class Lane3D:
     def z(self) -> np.ndarray:
         return self.points[:, 2]
 
-    def point(self, i: int) -> Point3D:
-        return Point3D(*self.points[i])
 
-
-@dataclass(eq=False)
-class Lane2D:
+class Lane2D(_Lane):
     """One lane boundary on the flat ground plane."""
 
-    id: str
-    points: np.ndarray       # (N, 2) float
-    visibility: np.ndarray   # (N,) int in {0, 1}
-
-    def __post_init__(self):
-        _require(bool(self.id), "lane id must be nonempty")
-        self.points = _as_points(self.points, 2, self.id)
-        _require(len(self.points) >= 1, f"lane '{self.id}': needs at least one point")
-        _check_monotone_y(self.points[:, 1], self.id)
-        self.visibility = _as_visibility(self.visibility, len(self.points), self.id)
-        self.points.setflags(write=False)
-        self.visibility.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Lane2D) and self.id == other.id
-                and np.array_equal(self.points, other.points)
-                and np.array_equal(self.visibility, other.visibility))
-
-    def point(self, i: int) -> Point2D:
-        return Point2D(*self.points[i])
+    _point, _dim = Point2D, 2
 
 
 def _check_metadata(metadata: dict, owner: str) -> None:
@@ -389,23 +401,23 @@ def camera_from_dict(d: dict) -> CameraPose:
     )
 
 
-def _lane3d_to_dict(lane: Lane3D) -> dict:
+def _lane_to_dict(lane: _Lane) -> dict:
     return {
         "id": lane.id,
-        "points": [[float(x), float(y), float(z)] for x, y, z in lane.points],
-        "visibility": [int(v) for v in lane.visibility],
+        "points": lane.points.tolist(),
+        "visibility": lane.visibility.tolist(),
     }
 
 
-def _lane3d_from_dict(d: dict) -> Lane3D:
-    return Lane3D(id=d["id"], points=d["points"], visibility=d["visibility"])
+def _lane_from_dict(cls, d: dict) -> _Lane:
+    return cls(id=d["id"], points=d["points"], visibility=d["visibility"])
 
 
 def scene_to_dict(scene: Scene) -> dict:
     return {
         "frame_id": scene.frame_id,
         "camera": camera_to_dict(scene.camera),
-        "lanes": [_lane3d_to_dict(lane) for lane in scene.lanes],
+        "lanes": [_lane_to_dict(lane) for lane in scene.lanes],
         "metadata": {k: scene.metadata[k] for k in sorted(scene.metadata)},
     }
 
@@ -414,7 +426,7 @@ def scene_from_dict(d: dict) -> Scene:
     return Scene(
         frame_id=d["frame_id"],
         camera=camera_from_dict(d["camera"]),
-        lanes=[_lane3d_from_dict(ld) for ld in d["lanes"]],
+        lanes=[_lane_from_dict(Lane3D, ld) for ld in d["lanes"]],
         metadata=dict(d.get("metadata", {})),
     )
 
@@ -447,7 +459,7 @@ def prediction_to_dict(pred: Prediction) -> dict:
         "frame_id": pred.frame_id,
         "camera": camera_to_dict(pred.camera),
         "lanes": [
-            {**_lane3d_to_dict(lane), "prob": float(p)}
+            {**_lane_to_dict(lane), "prob": float(p)}
             for lane, p in zip(pred.lanes, pred.probs)
         ],
     }
@@ -457,7 +469,7 @@ def prediction_to_dict(pred: Prediction) -> dict:
 
 
 def prediction_from_dict(d: dict) -> Prediction:
-    lanes = [_lane3d_from_dict(ld) for ld in d["lanes"]]
+    lanes = [_lane_from_dict(Lane3D, ld) for ld in d["lanes"]]
     probs = [float(ld.get("prob", 1.0)) for ld in d["lanes"]]
     anchors = _anchor_set_from_dict(d["anchors"]) if "anchors" in d else None
     return Prediction(frame_id=d["frame_id"], camera=camera_from_dict(d["camera"]),
@@ -468,20 +480,12 @@ def flat_frame_to_dict(frame: FlatFrame) -> dict:
     return {
         "frame_id": frame.frame_id,
         "camera": camera_to_dict(frame.camera),
-        "lanes": [
-            {
-                "id": lane.id,
-                "points": [[float(x), float(y)] for x, y in lane.points],
-                "visibility": [int(v) for v in lane.visibility],
-            }
-            for lane in frame.lanes
-        ],
+        "lanes": [_lane_to_dict(lane) for lane in frame.lanes],
     }
 
 
 def flat_frame_from_dict(d: dict) -> FlatFrame:
-    lanes = [Lane2D(id=ld["id"], points=ld["points"], visibility=ld["visibility"])
-             for ld in d["lanes"]]
+    lanes = [_lane_from_dict(Lane2D, ld) for ld in d["lanes"]]
     return FlatFrame(frame_id=d["frame_id"], camera=camera_from_dict(d["camera"]),
                      lanes=lanes)
 

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .model import Lane3D, PairMap
+from .model import Config, Lane2D, Lane3D, PairMap
 
 
 @dataclass(frozen=True)
-class PairingConfig:
+class PairingConfig(Config):
     window: int = 2                      # sliding-window half width
     width_jump_threshold: float = 1.0    # meters
 
@@ -44,7 +44,8 @@ def _windowed_argmin(p: np.ndarray, pts: np.ndarray, lo: int, hi: int) -> tuple[
     return lo + k, float(d[k])
 
 
-def match_point_pairs(l1: Lane3D, l2: Lane3D, cfg: PairingConfig = DEFAULT_PAIRING):
+def match_point_pairs(l1: Lane2D | Lane3D, l2: Lane2D | Lane3D,
+                      cfg: PairingConfig = DEFAULT_PAIRING):
     """Match point pairs between two boundaries; returns a PairMap keyed on
     the shorter boundary, or None when a local width jump rejects the pair.
 

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import DegeneratePose, HeightExceedsCamera
+from .errors import DegeneratePose, HeightExceedsCamera, InvariantViolation
 from .model import CameraPose, Lane3D, Point2D, Point3D
 
 _DEGENERATE_COS = 1e-12
@@ -50,6 +50,25 @@ def project_virtual_top_xy(xy: np.ndarray, z: np.ndarray, h_cam: float) -> np.nd
     """Array form of project_virtual_top: (N, 2) flat-ground coordinates."""
     s = virtual_top_scale(z, h_cam)
     return np.asarray(xy, dtype=float) * s[:, None]
+
+
+def resample_flat(lane: Lane3D, h_cam: float, y_refs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resample a lane at flat-ground y references: returns (x_flat, z, vis),
+    linear in flat y, with the visibility interpolated and thresholded at 0.5
+    and False outside the lane's flat span. Raises InvariantViolation when
+    the virtual projection folds the lane (flat y not strictly increasing)."""
+    refs = np.asarray(y_refs, dtype=float)
+    flat = project_virtual_top_xy(lane.xy, lane.z, h_cam)
+    fy = flat[:, 1]
+    if not np.all(np.diff(fy) > 0):
+        raise InvariantViolation(
+            f"lane '{lane.id}': flat-ground y not strictly increasing; "
+            "the virtual projection folds this lane")
+    x = np.interp(refs, fy, flat[:, 0])
+    z = np.interp(refs, fy, lane.z)
+    v = np.interp(refs, fy, lane.visibility.astype(float))
+    vis = (v >= 0.5) & (refs >= fy[0]) & (refs <= fy[-1])
+    return x, z, vis
 
 
 def lift_from_virtual_top(p2: Point2D, z: float, h_cam: float) -> Point3D:
@@ -128,10 +147,10 @@ def apply_homography(hmat: np.ndarray, xy: np.ndarray) -> np.ndarray:
     return mapped[:, :2] / mapped[:, 2:3]
 
 
-def compute_visibility(lane: Lane3D, pose: CameraPose) -> np.ndarray:
-    """1 where the point projects inside [0, width) x [0, height) with
-    positive depth, else 0."""
-    uv, depth = project_front_view_points(lane.points, pose)
+def compute_visibility(points: np.ndarray, pose: CameraPose) -> np.ndarray:
+    """1 where an (N, 3) ego point projects inside [0, width) x [0, height)
+    with positive depth, else 0."""
+    uv, depth = project_front_view_points(points, pose)
     k = pose.intrinsics
     ok = (depth > 0) & (uv[:, 0] >= 0) & (uv[:, 0] < k.width_px) \
         & (uv[:, 1] >= 0) & (uv[:, 1] < k.height_px)

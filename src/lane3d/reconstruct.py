@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegeneratePair, InvalidInput, InvariantViolation, NoPairing
-from .model import FlatFrame, Lane2D, Lane3D, Point2D
+from .losses import lifted_width, second_difference_l1
+from .model import Config, Lane2D, Lane3D, Point2D
 from .pairing import DEFAULT_PAIRING, PairingConfig, match_point_pairs
 from .projection import lift_from_virtual_top_xy
 
@@ -58,7 +59,7 @@ def reconstruct_closed_form(flat_pairs, true_width: float, h_cam: float) -> list
 
 
 @dataclass(frozen=True)
-class SolveOptions:
+class SolveOptions(Config):
     max_iters: int = 400
     step: float = 0.05
     tol: float = 1e-10
@@ -71,49 +72,20 @@ class SolveOptions:
         if self.lambda_geo < 0:
             raise InvalidInput("lambda_geo must be nonnegative")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SolveOptions":
-        kwargs = dict(d)
-        if "pairing" in kwargs:
-            kwargs["pairing"] = PairingConfig(**kwargs["pairing"])
-        return cls(**kwargs)
-
 
 @dataclass
 class _PairContext:
     """Fixed data for one boundary-pair solve; z is the only variable."""
 
-    ax: np.ndarray          # flat coords of matched left points
-    ay: np.ndarray
-    bx: np.ndarray          # flat coords of matched right points
-    by: np.ndarray
+    a: np.ndarray           # (M, 2) flat coords of matched left points
+    b: np.ndarray           # (M, 2) flat coords of matched right points
     i_idx: np.ndarray       # matched indices into the left boundary
     j_idx: np.ndarray       # matched indices into the right boundary
-    pair_vis: np.ndarray    # visibility AND per pair
-    d_flat: np.ndarray      # flat pair distances
     n_left: int
     n_right: int
     c_hat: float
     h_cam: float
     lambda_geo: float
-
-
-def _sd_l1_value_grad(v: np.ndarray, mask: np.ndarray | None):
-    """Second-difference L1 and its subgradient (0 at kinks)."""
-    n = len(v)
-    g = np.zeros(n)
-    if n < 3:
-        return 0.0, g
-    t = v[:-2] + v[2:] - 2.0 * v[1:-1]
-    if mask is not None:
-        t = t * mask[1:-1]
-    s = np.sign(t)
-    if mask is not None:
-        s = s * mask[1:-1]
-    g[:-2] += s
-    g[2:] += s
-    g[1:-1] -= 2.0 * s
-    return float(np.sum(np.abs(t))), g
 
 
 def pair_objective(z: np.ndarray, ctx: _PairContext):
@@ -124,16 +96,7 @@ def pair_objective(z: np.ndarray, ctx: _PairContext):
     h = ctx.h_cam
     zl = z[:ctx.n_left]
     zr = z[ctx.n_left:]
-    zi = zl[ctx.i_idx]
-    zj = zr[ctx.j_idx]
-
-    ux = ctx.ax * (h - zi) / h - ctx.bx * (h - zj) / h
-    uy = ctx.ay * (h - zi) / h - ctx.by * (h - zj) / h
-    uz = zi - zj
-    w3 = np.sqrt(ux * ux + uy * uy + uz * uz)
-    inv_w3 = 1.0 / np.maximum(w3, 1e-12)
-    dw3_dzi = (-ux * ctx.ax / h - uy * ctx.ay / h + uz) * inv_w3
-    dw3_dzj = (ux * ctx.bx / h + uy * ctx.by / h - uz) * inv_w3
+    w3, dw3_dzi, dw3_dzj = lifted_width(ctx.a, ctx.b, zl[ctx.i_idx], zr[ctx.j_idx], h)
 
     r = w3 - ctx.c_hat
     value = float(np.sum(r * r))
@@ -155,8 +118,8 @@ def pair_objective(z: np.ndarray, ctx: _PairContext):
         # profile the constant-sign runs telescope to a near-zero
         # gradient, while alternating noise signs fire it everywhere.
         weight = _Z_SERIES_WEIGHT * h
-        vl, gzl = _sd_l1_value_grad(zl, None)
-        vr, gzr = _sd_l1_value_grad(zr, None)
+        vl, gzl = second_difference_l1(zl)
+        vr, gzr = second_difference_l1(zr)
         value += lam * weight * (vl + vr)
         gl += lam * weight * gzl
         gr += lam * weight * gzr
@@ -188,11 +151,7 @@ def prepare_pair(left: Lane2D, right: Lane2D, h_cam: float,
                  opts: SolveOptions = SolveOptions()):
     """Match a boundary pair and build the solve context plus the closed-form
     initial heights; raises NoPairing when the matcher rejects the pair."""
-    left3 = Lane3D(id=left.id, points=np.column_stack([left.points, np.zeros(len(left))]),
-                   visibility=left.visibility)
-    right3 = Lane3D(id=right.id, points=np.column_stack([right.points, np.zeros(len(right))]),
-                    visibility=right.visibility)
-    pm = match_point_pairs(left3, right3, opts.pairing)
+    pm = match_point_pairs(left, right, opts.pairing)
     if pm is None:
         raise NoPairing(f"width jump rejected pairing of '{left.id}' and '{right.id}'")
 
@@ -214,10 +173,7 @@ def prepare_pair(left: Lane2D, right: Lane2D, h_cam: float,
 
     z0 = closed_form_heights(d_flat, c_hat, h_cam)
     ctx = _PairContext(
-        ax=a[:, 0], ay=a[:, 1], bx=b[:, 0], by=b[:, 1],
-        i_idx=i_idx, j_idx=j_idx,
-        pair_vis=(left.visibility[i_idx] & right.visibility[j_idx]).astype(float),
-        d_flat=d_flat, n_left=len(left), n_right=len(right),
+        a=a, b=b, i_idx=i_idx, j_idx=j_idx, n_left=len(left), n_right=len(right),
         c_hat=c_hat, h_cam=h_cam, lambda_geo=opts.lambda_geo)
     z_init = np.concatenate([_fill_unmatched(len(left), i_idx, z0),
                              _fill_unmatched(len(right), j_idx, z0)])
@@ -322,21 +278,6 @@ def solve_frame(flat_lanes: list[Lane2D], h_cam: float,
             statuses[lane.id] = "folded"
     return FrameSolve(lanes=lanes, statuses=statuses, clamped=clamped,
                       z_by_lane=z_by_lane, traces=traces)
-
-
-def reconstruct_iterative(flat_lanes: list[Lane2D], h_cam: float,
-                          opts: SolveOptions = SolveOptions()) -> list[Lane3D]:
-    """Reconstruct 3D lanes from flat-ground boundaries; raises NoPairing
-    when no boundary pair survives matching."""
-    result = solve_frame(flat_lanes, h_cam, opts)
-    if not result.lanes:
-        raise NoPairing("no boundary pair could be matched")
-    return result.lanes
-
-
-def reconstruct_frame(frame: FlatFrame, opts: SolveOptions = SolveOptions()) -> FrameSolve:
-    """Frame-level convenience wrapper used by the CLI."""
-    return solve_frame(frame.lanes, frame.camera.height_m, opts)
 
 
 def flat_pairs_from_lanes(left: Lane2D, right: Lane2D) -> list[tuple[Point2D, Point2D]]:

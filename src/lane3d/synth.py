@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HeightExceedsCamera, InvariantViolation, OutOfRange, SpecError
+from .errors import HeightExceedsCamera, OutOfRange, SpecError
 from .model import (Anchor, AnchorSet, CameraPose, Intrinsics, Lane3D, Point2D,
                     Scene, TopViewMask, camera_from_dict)
 from .projection import (compute_visibility, lift_from_virtual_top_xy,
-                         project_virtual_top_xy)
+                         project_virtual_top_xy, resample_flat)
 
 # Anchor y-reference grid of the reference dataset protocol.
 DEFAULT_Y_REFS = (5.0, 10.0, 15.0, 20.0, 30.0, 40.0, 50.0, 60.0, 80.0, 100.0)
@@ -94,25 +94,6 @@ class RoadSpec:
         return np.polynomial.polynomial.polyval(np.asarray(y, dtype=float),
                                                 self.height_profile)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RoadSpec":
-        kwargs = dict(d)
-        if "camera" in kwargs:
-            kwargs["camera"] = camera_from_dict(kwargs["camera"])
-        profile = kwargs.get("height_profile")
-        if isinstance(profile, dict):
-            kwargs["height_profile"] = HillProfile(**profile)
-        elif profile is not None:
-            kwargs["height_profile"] = tuple(float(v) for v in profile)
-        if "centerline_x_coeffs" in kwargs:
-            kwargs["centerline_x_coeffs"] = tuple(float(v) for v in kwargs["centerline_x_coeffs"])
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, path) -> "RoadSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
 
 def boundary_offsets(spec: RoadSpec) -> np.ndarray:
     """Signed normal offsets of the boundaries: adjacent boundaries sit one
@@ -134,10 +115,8 @@ def generate_scene(spec: RoadSpec, seed: int = 0, frame_id: str | None = None) -
     lanes = []
     for k, off in enumerate(boundary_offsets(spec)):
         pts = np.column_stack([x + off * nx, ys + off * ny, z])
-        lane = Lane3D(id=f"lane_{k}", points=pts,
-                      visibility=np.zeros(len(pts), dtype=int))
-        lanes.append(Lane3D(id=lane.id, points=pts,
-                            visibility=compute_visibility(lane, spec.camera)))
+        lanes.append(Lane3D(id=f"lane_{k}", points=pts,
+                            visibility=compute_visibility(pts, spec.camera)))
     return Scene(frame_id=frame_id or f"synth_{seed:06d}", camera=spec.camera,
                  lanes=lanes, metadata={"generator": "parametric_road", "seed": str(seed)})
 
@@ -154,15 +133,6 @@ class AnchorConfig:
         if not np.any(np.isclose(refs, self.y_assoc)):
             raise SpecError("y_assoc must be one of the y_refs")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AnchorConfig":
-        kwargs = {}
-        if "y_refs" in d:
-            kwargs["y_refs"] = tuple(float(v) for v in d["y_refs"])
-        if "y_assoc" in d:
-            kwargs["y_assoc"] = float(d["y_assoc"])
-        return cls(**kwargs)
-
 
 DEFAULT_ANCHORS = AnchorConfig()
 
@@ -175,22 +145,14 @@ def encode_anchors(scene: Scene, cfg: AnchorConfig = DEFAULT_ANCHORS) -> AnchorS
     refs = np.asarray(cfg.y_refs, dtype=float)
     anchors = []
     for lane in scene.lanes:
-        flat = project_virtual_top_xy(lane.xy, lane.z, h)
-        fy = flat[:, 1]
-        if not np.all(np.diff(fy) > 0):
-            raise InvariantViolation(
-                f"lane '{lane.id}': flat-ground y not strictly increasing; "
-                "the virtual projection folds this lane")
-        if not fy[0] <= cfg.y_assoc <= fy[-1]:
+        x_ref, z_ref, vis = resample_flat(lane, h, refs)
+        fy0, fy1 = project_virtual_top_xy(lane.xy[[0, -1]], lane.z[[0, -1]], h)[:, 1]
+        if not fy0 <= cfg.y_assoc <= fy1:
             raise OutOfRange(
-                f"lane '{lane.id}' spans flat y [{fy[0]:.2f}, {fy[-1]:.2f}] "
+                f"lane '{lane.id}' spans flat y [{fy0:.2f}, {fy1:.2f}] "
                 f"and misses the association reference {cfg.y_assoc}")
-        in_span = (refs >= fy[0]) & (refs <= fy[-1])
-        x_ref = np.interp(refs, fy, flat[:, 0])
-        z_ref = np.interp(refs, fy, lane.z)
-        v_ref = np.interp(refs, fy, lane.visibility.astype(float))
-        vis = ((v_ref >= 0.5) & in_span).astype(float)
-        anchors.append(Anchor(id=lane.id, x_offsets=x_ref, z=z_ref, vis=vis, prob=1.0))
+        anchors.append(Anchor(id=lane.id, x_offsets=x_ref, z=z_ref,
+                              vis=vis.astype(float), prob=1.0))
     return AnchorSet(y_refs=refs, anchors=anchors)
 
 

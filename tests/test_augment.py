@@ -119,13 +119,21 @@ def test_config_validation_and_json(tmp_path):
         AugmentConfig(pitch_range=(0.3, -0.1))
     with pytest.raises(InvalidInput):
         AugmentConfig(p_yaw=1.5)
+    # a partial per-axis dict would silently read the missing axes as radians
+    with pytest.raises(InvalidInput, match="angle_unit"):
+        AugmentConfig(angle_unit={"yaw": "degrees"})
+    with pytest.raises(InvalidInput, match="angle_unit"):
+        AugmentConfig(angle_unit={"pitch": "radians", "roll": "degrees",
+                                  "yaw": "degrees", "tilt": "degrees"})
+    with pytest.raises(InvalidInput, match="p_yew"):
+        AugmentConfig.from_dict({"p_yew": 1.0})
     path = tmp_path / "aug.json"
     path.write_text(json.dumps({
         "pitch_range": [-0.1, 0.3], "roll_range": [-3, 3], "yaw_range": [-3, 3],
         "p_pitch": 0.1, "p_roll": 0.05, "p_yaw": 0.2,
         "angle_unit": {"pitch": "radians", "roll": "degrees", "yaw": "degrees"},
         "seed": 42}))
-    cfg = AugmentConfig.from_json(path)
+    cfg = AugmentConfig.from_dict(json.loads(path.read_text()))
     assert cfg.seed == 42
     assert cfg.unit_for("pitch") == "radians"
     assert cfg.unit_for("yaw") == "degrees"

@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import lane3d
 from lane3d.cli import main
 from lane3d.model import read_scenes, write_scenes
 
@@ -125,6 +129,40 @@ def test_reconstruct_trace_csv(tmp_path):
     assert first.startswith("0,")
 
 
+@pytest.mark.parametrize("frame_id", ["../escaped", "nested/escaped", "nul\0escaped"])
+def test_frame_id_that_is_not_a_plain_name_exit_2(tmp_path, frame_id):
+    work = tmp_path / "work"
+    work.mkdir()
+    scenes = work / "scenes.jsonl"
+    flat = work / "flat.jsonl"
+    run(["generate", "--count", 1, "--seed", 14, "--out", scenes])
+    scene = read_scenes(scenes)[0]
+    scene.frame_id = frame_id
+    write_scenes([scene], scenes)
+    assert run(["project", "--in", scenes, "--out", flat]) == 0
+    cfg = work / "solve.json"
+    cfg.write_text(json.dumps({"trace_dir": str(work / "traces")}))
+    assert run(["reconstruct", "--in", flat, "--config", cfg,
+                "--out", work / "rec.jsonl"]) == 2
+    assert run(["plot", "--in", scenes, "--out", work / "figs"]) == 2
+    assert [p.name for p in tmp_path.rglob("*escaped*")] == []
+
+
+def test_misspelled_config_key_exit_2(tmp_path, capsys):
+    scenes = tmp_path / "scenes.jsonl"
+    run(["generate", "--count", 1, "--seed", 15, "--out", scenes])
+    aug = tmp_path / "aug.json"
+    aug.write_text(json.dumps({"p_yew": 1.0}))
+    assert run(["augment", "--in", scenes, "--config", aug,
+                "--out", tmp_path / "aug.jsonl"]) == 2
+    assert "p_yew" in capsys.readouterr().err
+    ev = tmp_path / "ev.json"
+    ev.write_text(json.dumps({"point_tolerence": 0.5}))
+    assert run(["evaluate", scenes, scenes, "--config", ev,
+                "--out", tmp_path / "report.json"]) == 2
+    assert "point_tolerence" in capsys.readouterr().err
+
+
 def test_evaluate_gt_vs_gt(tmp_path):
     scenes = tmp_path / "scenes.jsonl"
     report = tmp_path / "report.json"
@@ -221,8 +259,12 @@ def test_workers_preserve_order(tmp_path):
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "scenes.jsonl"
+    # the child imports the package under test, installed or not
+    src = str(Path(lane3d.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "lane3d.cli",
                            "generate", "--count", "1", "--out", str(out)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert out.exists()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lane3d.evaluate as evaluate_module
-from lane3d.errors import InvalidInput
+from lane3d.errors import InvalidInput, InvariantViolation
 from lane3d.evaluate import (EvalReport, FrameBreakdown, MatchConfig, compute_ap,
                              compute_fscore, compute_offset_errors,
                              evaluate_frames, fscore_from_counts,
@@ -258,6 +258,11 @@ def test_sweep_equals_per_threshold_reference_on_mixed_probabilities(pose, thres
     assert len({(p, r) for _, p, r in report.pr_curve}) >= 3
     expected = _reference_report(scenes, preds, cfg)
     assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+
+
+def test_resampling_a_folded_lane_raises():
+    with pytest.raises(InvariantViolation, match="fold"):
+        resample_flat(FOLDED_LANE, H_CAM, MatchConfig().eval_y_refs)
 
 
 def test_sweep_resamples_each_lane_once_per_frame(monkeypatch, pose):

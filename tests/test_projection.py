@@ -146,10 +146,10 @@ def test_visibility_inside_behind_and_edge(pose):
     k = pose.intrinsics
     # ground point near the axis, well inside the image
     inside = straight_lane("in", 0.0, [30.0])
-    assert compute_visibility(inside, pose).tolist() == [1]
+    assert compute_visibility(inside.points, pose).tolist() == [1]
     # behind the camera
     behind = straight_lane("behind", 0.0, [-10.0])
-    assert compute_visibility(behind, pose).tolist() == [0]
+    assert compute_visibility(behind.points, pose).tolist() == [0]
     # construct points projecting one pixel outside / safely inside the right
     # edge via the inverse pinhole at depth 20
     y = 20.0
@@ -157,4 +157,4 @@ def test_visibility_inside_behind_and_edge(pose):
     for u_target, expected in [(k.width_px + 1.0, 0), (k.width_px - 2.0, 1)]:
         x = (u_target - k.cx) * depth / k.fx
         lane = straight_lane("edge", x, [y])
-        assert compute_visibility(lane, pose).tolist() == [expected]
+        assert compute_visibility(lane.points, pose).tolist() == [expected]

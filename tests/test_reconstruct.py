@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lane3d.errors import DegeneratePair, NoPairing
+from lane3d.errors import DegeneratePair, InvalidInput, NoPairing
 from lane3d.losses import grad_check
 from lane3d.model import Lane2D, Point2D
 from lane3d.pairing import PairingConfig
@@ -9,8 +9,7 @@ from lane3d.projection import project_virtual_top_xy
 from lane3d.reconstruct import (SolveOptions, closed_form_heights,
                                 flat_pairs_from_lanes, pair_objective,
                                 prepare_pair, reconstruct_closed_form,
-                                reconstruct_iterative, solve_boundary_pair,
-                                solve_frame)
+                                solve_boundary_pair, solve_frame)
 from lane3d.synth import HillProfile, RoadSpec, generate_scene
 
 from conftest import H_CAM
@@ -35,6 +34,20 @@ def project_scene(scene, noise_rng=None, sigma=0.05):
             flat = flat + noise_rng.normal(0.0, sigma, size=flat.shape)
         lanes.append(Lane2D(id=lane.id, points=flat, visibility=lane.visibility))
     return lanes
+
+
+def test_options_from_dict_coerce_by_default_type_and_reject_unknown_keys():
+    opts = SolveOptions.from_dict({"max_iters": 7.0, "step": 1,
+                                   "pairing": {"window": 3.0}})
+    assert type(opts.max_iters) is int and opts.max_iters == 7
+    assert type(opts.step) is float and opts.step == 1.0
+    assert opts.pairing == PairingConfig(window=3)
+    with pytest.raises(InvalidInput, match="windw"):
+        SolveOptions.from_dict({"pairing": {"windw": 3}})
+    with pytest.raises(InvalidInput, match="max_iter, "):
+        SolveOptions.from_dict({"max_iter": 3, "tolerance": 1.0})
+    with pytest.raises(InvalidInput, match="JSON object"):
+        SolveOptions.from_dict({"pairing": []})
 
 
 def test_closed_form_examples():
@@ -72,7 +85,10 @@ def test_flat_input_recovers_zero_height():
 def test_hill_round_trip_noise_free():
     scene = generate_scene(HILL_SPEC, seed=2)
     lanes = project_scene(scene)
-    out = reconstruct_iterative(lanes, H_CAM)
+    res = solve_frame(lanes, H_CAM)
+    assert set(res.statuses.values()) == {"ok"}
+    out = res.lanes
+    assert len(out) == len(scene.lanes)
     for got, truth in zip(out, scene.lanes):
         assert np.max(np.abs(got.z - truth.z)) < 1e-3
         # a far-range z error of e shifts the lifted y by up to e * y / h
@@ -116,8 +132,9 @@ def test_descent_never_increases_objective():
 
 def test_single_boundary_has_no_pairing():
     ys = np.arange(5.0, 60.0, 4.0)
-    with pytest.raises(NoPairing):
-        reconstruct_iterative([flat_lane("only", 0.0, ys)], H_CAM)
+    res = solve_frame([flat_lane("only", 0.0, ys)], H_CAM)
+    assert res.lanes == []
+    assert res.statuses == {"only": "no_pairing"}
 
 
 def test_width_jump_rejection_propagates():
