@@ -80,23 +80,28 @@ def width_series(left: Lane3D, right: Lane3D, pairs: PairMap, h_cam: float) -> W
 
 
 def second_difference_l1(values: np.ndarray, mask: np.ndarray | None = None,
-                         weight: float = 1.0) -> tuple[float, np.ndarray]:
+                         weight: float = 1.0) -> tuple[float | np.ndarray, np.ndarray]:
     """Sum of weight * |mask_i * (v[i-1] + v[i+1] - 2 v[i])| over interior i,
-    and its subgradient with respect to v (taken as 0 at the |.| kink)."""
-    v = np.asarray(values, dtype=float)
-    grad = np.zeros(len(v))
-    if len(v) < 3:
-        return 0.0, grad
-    t = v[:-2] + v[2:] - 2.0 * v[1:-1]
-    s = weight * np.sign(t)
-    if mask is not None:
-        m = np.asarray(mask)[1:-1]
-        t = t * m
-        s = s * m
-    grad[:-2] += s
-    grad[2:] += s
-    grad[1:-1] -= 2.0 * s
-    return float(weight * np.sum(np.abs(t))), grad
+    and its subgradient with respect to v (taken as 0 at the |.| kink).
+
+    Works along the last axis: for a stack of series the value is an array
+    over the leading axes, and each row equals the 1-D result bit for bit."""
+    v = np.ascontiguousarray(values, dtype=float)   # rows reduce as in 1-D
+    grad = np.zeros(v.shape)
+    if v.shape[-1] < 3:
+        value = np.zeros(v.shape[:-1])
+    else:
+        t = v[..., :-2] + v[..., 2:] - 2.0 * v[..., 1:-1]
+        s = weight * np.sign(t)
+        if mask is not None:
+            m = np.asarray(mask)[..., 1:-1]
+            t = t * m
+            s = s * m
+        grad[..., :-2] += s
+        grad[..., 2:] += s
+        grad[..., 1:-1] -= 2.0 * s
+        value = weight * np.abs(t).sum(axis=-1)
+    return (float(value) if v.ndim == 1 else value), grad
 
 
 def geo_prior_loss(series: WidthSeries, prob: float) -> float:
@@ -152,12 +157,14 @@ def total_rec_loss(anchor: float, geo: float, w: LossWeights) -> float:
 def lifted_width(left_flat: np.ndarray, right_flat: np.ndarray, zl: np.ndarray,
                  zr: np.ndarray, h_cam: float):
     """3D widths of index-aligned flat-ground pairs lifted to heights zl, zr,
-    with their derivatives: returns (w3, dw3/dzl, dw3/dzr)."""
+    with their derivatives: returns (w3, dw3/dzl, dw3/dzr). Heights may be
+    stacks whose last axis runs over the pairs."""
     h = h_cam
     ax, ay = left_flat[:, 0], left_flat[:, 1]
     bx, by = right_flat[:, 0], right_flat[:, 1]
-    ux = ax * (h - zl) / h - bx * (h - zr) / h
-    uy = ay * (h - zl) / h - by * (h - zr) / h
+    hl, hr = h - zl, h - zr
+    ux = ax * hl / h - bx * hr / h
+    uy = ay * hl / h - by * hr / h
     uz = zl - zr
     w3 = np.sqrt(ux * ux + uy * uy + uz * uz)
     inv_w3 = 1.0 / np.maximum(w3, 1e-12)

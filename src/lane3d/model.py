@@ -42,17 +42,33 @@ class Config:
         unknown = sorted(set(d) - set(defaults))
         if unknown:
             raise InvalidInput(f"{cls.__name__}: unknown config keys: {', '.join(unknown)}")
-        return cls(**{key: _coerce(defaults[key], value) for key, value in d.items()})
+        return cls(**{key: _coerce(f"{cls.__name__}.{key}", defaults[key], value)
+                      for key, value in d.items()})
 
 
-def _coerce(default, value):
+def _coerce(name: str, default, value):
+    """Coerce value by the type of default. A number field takes only JSON
+    numbers (not booleans); an int field takes only integral values and a
+    float field only finite ones."""
     if isinstance(default, Config):
         return type(default).from_dict(value)
     if isinstance(default, tuple):
-        return tuple(float(v) for v in value)
-    if isinstance(default, (float, int)):
-        return type(default)(value)
-    return value
+        return tuple(_coerce(name, 0.0, v) for v in value)
+    if not isinstance(default, (float, int)):
+        return value
+    if isinstance(value, bool) or not isinstance(value, (float, int)):
+        raise InvalidInput(f"{name} must be a number, got {value!r}")
+    if isinstance(default, int):
+        if isinstance(value, float) and not value.is_integer():
+            raise InvalidInput(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        number = float(value)
+    except OverflowError:   # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise InvalidInput(f"{name} must be finite, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)

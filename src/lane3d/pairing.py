@@ -10,6 +10,7 @@ lane width may drift gradually but not step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,15 +34,20 @@ class PairingConfig(Config):
 DEFAULT_PAIRING = PairingConfig()
 
 
-def _pair_dists(p: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(candidates - p, axis=1)
-
-
-def _windowed_argmin(p: np.ndarray, pts: np.ndarray, lo: int, hi: int) -> tuple[int, float]:
-    """Best index in [lo, hi]; ties go to the smaller index."""
-    d = _pair_dists(p, pts[lo:hi + 1])
-    k = int(np.argmin(d))
-    return lo + k, float(d[k])
+def _windowed_argmin(p: list, pts: list, lo: int, hi: int) -> tuple[int, float]:
+    """Best index in [lo, hi] by Euclidean distance over every coordinate;
+    ties go to the smaller index. The squares are summed in column order,
+    as np.linalg.norm(axis=1) sums them, so distances match it bit for bit."""
+    best, best_d = lo, math.inf
+    for j in range(lo, hi + 1):
+        s = 0.0
+        for a, b in zip(p, pts[j]):
+            d = b - a
+            s += d * d
+        dist = math.sqrt(s)
+        if dist < best_d:
+            best, best_d = j, dist
+    return best, best_d
 
 
 def match_point_pairs(l1: Lane2D | Lane3D, l2: Lane2D | Lane3D,
@@ -57,12 +63,12 @@ def match_point_pairs(l1: Lane2D | Lane3D, l2: Lane2D | Lane3D,
     if (len(l1), l1.id) > (len(l2), l2.id):
         l1, l2 = l2, l1
 
-    pts1, pts2 = l1.points, l2.points
-    n1, n2 = len(pts1), len(pts2)
+    n1, n2 = len(l1), len(l2)
     eta = cfg.window
 
     mid1 = n1 // 2
-    same_y = int(np.argmin(np.abs(pts2[:, 1] - pts1[mid1, 1])))
+    same_y = int(np.argmin(np.abs(l2.points[:, 1] - l1.points[mid1, 1])))
+    pts1, pts2 = l1.points.tolist(), l2.points.tolist()
     lo, hi = max(0, same_y - eta), min(n2 - 1, same_y + eta)
     mid2, seed_width = _windowed_argmin(pts1[mid1], pts2, lo, hi)
 

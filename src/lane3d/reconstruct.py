@@ -36,6 +36,7 @@ _MIN_FLAT_WIDTH = 1e-9
 _Z_CLAMP_MARGIN = 1e-6
 _NEAR_RANGE_PAIRS = 3
 _Z_SERIES_WEIGHT = 5.0   # height-profile penalty scale, in camera heights
+_MAX_HALVINGS = 20       # line-search step halvings before the descent stops
 
 
 def closed_form_heights(d_flat: np.ndarray, true_width: float, h_cam: float) -> np.ndarray:
@@ -91,19 +92,26 @@ class _PairContext:
 def pair_objective(z: np.ndarray, ctx: _PairContext):
     """Objective and analytic gradient for one boundary-pair solve.
 
-    z concatenates the left boundary's heights then the right's.
+    z concatenates the left boundary's heights then the right's, along the
+    last axis: a (K, n) stack of height vectors gives K values and a (K, n)
+    gradient, each row equal bit for bit to the 1-D call on that row.
     """
     h = ctx.h_cam
-    zl = z[:ctx.n_left]
-    zr = z[ctx.n_left:]
-    w3, dw3_dzi, dw3_dzj = lifted_width(ctx.a, ctx.b, zl[ctx.i_idx], zr[ctx.j_idx], h)
+    zl = z[..., :ctx.n_left]
+    zr = z[..., ctx.n_left:]
+    # take keeps each row contiguous (fancy indexing on the last axis would
+    # not), so the row sums below reduce in the same order as in 1-D
+    w3, dw3_dzi, dw3_dzj = lifted_width(ctx.a, ctx.b, zl.take(ctx.i_idx, axis=-1),
+                                        zr.take(ctx.j_idx, axis=-1), h)
 
     r = w3 - ctx.c_hat
-    value = float(np.sum(r * r))
-    gl = np.zeros(ctx.n_left)
-    gr = np.zeros(ctx.n_right)
-    np.add.at(gl, ctx.i_idx, 2.0 * r * dw3_dzi)
-    np.add.at(gr, ctx.j_idx, 2.0 * r * dw3_dzj)
+    value = (r * r).sum(axis=-1)
+    gl = np.zeros(zl.shape)
+    gr = np.zeros(zr.shape)
+    # matched indices never repeat, so adding through them equals np.add.at;
+    # the transposes index the last axis of a stack of any depth
+    gl.T[ctx.i_idx] += (2.0 * r * dw3_dzi).T
+    gr.T[ctx.j_idx] += (2.0 * r * dw3_dzj).T
 
     lam = ctx.lambda_geo
     if lam > 0:
@@ -124,7 +132,7 @@ def pair_objective(z: np.ndarray, ctx: _PairContext):
         gl += lam * weight * gzl
         gr += lam * weight * gzr
 
-    return value, np.concatenate([gl, gr])
+    return (float(value) if z.ndim == 1 else value), np.concatenate([gl, gr], axis=-1)
 
 
 def _fill_unmatched(n: int, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -195,21 +203,28 @@ def solve_boundary_pair(left: Lane2D, right: Lane2D, h_cam: float,
     for it in range(1, opts.max_iters + 1):
         trial = z - step * grad
         trial_value, trial_grad = pair_objective(trial, ctx)
-        halvings = 0
-        while trial_value > value and halvings < 20:
-            step *= 0.5
-            halvings += 1
-            trial = z - step * grad
-            trial_value, trial_grad = pair_objective(trial, ctx)
-        if trial_value > value:
-            break   # no descent direction left at the smallest step
+        backtracked = trial_value > value
+        if backtracked:
+            # Backtracking: evaluate step/2, step/4, ... (each the previous
+            # one halved, as a halving loop computes them) in one batched
+            # call and take the first that does not increase J; a NaN value
+            # counts as not increasing, as it does for the first trial.
+            steps = np.multiply.accumulate([step] + [0.5] * _MAX_HALVINGS)[1:]
+            trials = z - steps[:, None] * grad
+            values, grads = pair_objective(trials, ctx)
+            accepted = np.flatnonzero(~(values > value))
+            if len(accepted) == 0:
+                break   # no descent direction left at the smallest step
+            k = int(accepted[0])
+            step = float(steps[k])
+            trial, trial_value, trial_grad = trials[k], float(values[k]), grads[k]
         improvement = value - trial_value
         z, value, grad = trial, trial_value, trial_grad
         iters = it
         trace.append((it, value, step))
         if improvement < opts.tol:
             break
-        if halvings == 0:
+        if not backtracked:
             step = min(step * 1.25, opts.step)
 
     limit = h_cam - _Z_CLAMP_MARGIN

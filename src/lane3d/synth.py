@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HeightExceedsCamera, OutOfRange, SpecError
+from .errors import HeightExceedsCamera, InvalidInput, OutOfRange, SpecError
 from .model import (Anchor, AnchorSet, CameraPose, Intrinsics, Lane3D, Point2D,
                     Scene, TopViewMask, camera_from_dict)
 from .projection import (compute_visibility, lift_from_virtual_top_xy,
@@ -330,8 +330,21 @@ def sample_road_spec(config: dict, rng: np.random.Generator) -> RoadSpec:
     return RoadSpec(height_profile=(0.0,), **base)
 
 
+def _check_generator_keys(config: dict) -> None:
+    """Reject keys the generator does not read, top level and under 'hill',
+    so a misspelled key fails instead of silently keeping its default."""
+    hill = config.get("hill", {}) if isinstance(config, dict) else None
+    if not isinstance(hill, dict):
+        raise InvalidInput("generator config and its 'hill' must be JSON objects")
+    unknown = sorted(set(config) - set(DEFAULT_GENERATOR))
+    unknown += sorted(f"hill.{key}" for key in set(hill) - set(DEFAULT_GENERATOR["hill"]))
+    if unknown:
+        raise InvalidInput(f"generator config: unknown keys: {', '.join(unknown)}")
+
+
 def generate_scenes(config: dict, count: int, seed: int) -> list[Scene]:
     """Deterministically generate `count` scenes from a generator config."""
+    _check_generator_keys(config)
     scenes = []
     for i in range(count):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))

@@ -149,6 +149,13 @@ def test_frame_id_that_is_not_a_plain_name_exit_2(tmp_path, frame_id):
 
 
 def test_misspelled_config_key_exit_2(tmp_path, capsys):
+    gen = tmp_path / "gen.json"
+    for config, key in [({"lane_widht": 3.0}, "lane_widht"),
+                        ({"hill": {"peak_z_rnage": [0.1, 0.2]}}, "hill.peak_z_rnage")]:
+        gen.write_text(json.dumps(config))
+        assert run(["generate", "--count", 0, "--config", gen,
+                    "--out", tmp_path / "gen.jsonl"]) == 2
+        assert key in capsys.readouterr().err
     scenes = tmp_path / "scenes.jsonl"
     run(["generate", "--count", 1, "--seed", 15, "--out", scenes])
     aug = tmp_path / "aug.json"

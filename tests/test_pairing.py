@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lane3d.errors import InvalidInput
-from lane3d.model import Lane3D
+from lane3d.model import Lane2D, Lane3D
 from lane3d.pairing import (PairingConfig, match_point_pairs,
                             adjacent_index_pairs)
 
@@ -109,27 +109,40 @@ def test_swap_invariance():
 
 
 def test_matches_windowed_oracle_on_random_parallel_instances():
+    # Lane3D pairs at zero and at differing nonzero heights (3-D distances)
+    # and Lane2D pairs; steps on a 0.5 m grid make equidistant candidates,
+    # so ties occur and must go to the smaller index
     rng = np.random.default_rng(7)
     cfg = PairingConfig(window=2, width_jump_threshold=1.0)
-    for _ in range(200):
+    for k in range(200):
         n = int(rng.integers(3, 50))
-        ys = np.cumsum(rng.uniform(0.8, 2.5, n))
+        steps = rng.choice([1.0, 1.5, 2.0], n) if k % 2 else rng.uniform(0.8, 2.5, n)
+        ys = np.cumsum(steps)
         width = rng.uniform(3.0, 4.0)
         # longer lane may carry extra points on either end
         extra_front = int(rng.integers(0, 3))
         extra_back = int(rng.integers(0, 3))
         ys2 = np.concatenate([ys[0] - np.arange(extra_front, 0, -1) * 1.5,
-                              ys,
+                              ys + (0.5 if k % 4 == 1 else 0.0),
                               ys[-1] + np.arange(1, extra_back + 1) * 1.5])
         x0 = rng.uniform(-2, 2)
-        l1 = straight_lane("a", x0, ys)
-        l2 = straight_lane("b", x0 + width, ys2)
-        got = match_point_pairs(l1, l2, cfg)
-        expected = windowed_walk_oracle(l1, l2, cfg.window, cfg.width_jump_threshold)
-        if expected is None:
-            assert got is None
-        else:
-            assert got is not None and got.pairs == expected
+        z1 = rng.uniform(0.1, 0.6) * np.sin(ys / rng.uniform(5.0, 20.0))
+        z2 = rng.uniform(0.1, 0.6) * np.cos(ys2 / rng.uniform(5.0, 20.0))
+        lane_pairs = [
+            (straight_lane("a", x0, ys), straight_lane("b", x0 + width, ys2)),
+            (straight_lane("a", x0, ys, z=z1), straight_lane("b", x0 + width, ys2, z=z2)),
+            (Lane2D(id="a", points=np.column_stack([np.full(n, x0), ys]),
+                    visibility=np.ones(n, dtype=int)),
+             Lane2D(id="b", points=np.column_stack([np.full(len(ys2), x0 + width), ys2]),
+                    visibility=np.ones(len(ys2), dtype=int))),
+        ]
+        for l1, l2 in lane_pairs:
+            got = match_point_pairs(l1, l2, cfg)
+            expected = windowed_walk_oracle(l1, l2, cfg.window, cfg.width_jump_threshold)
+            if expected is None:
+                assert got is None
+            else:
+                assert got is not None and got.pairs == expected
 
 
 def test_window_bound_property():

@@ -1,12 +1,16 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
+import lane3d.reconstruct
 from lane3d.errors import DegeneratePair, InvalidInput, NoPairing
 from lane3d.losses import grad_check
 from lane3d.model import Lane2D, Point2D
 from lane3d.pairing import PairingConfig
 from lane3d.projection import project_virtual_top_xy
-from lane3d.reconstruct import (SolveOptions, closed_form_heights,
+from lane3d.reconstruct import (SolveOptions, _PairContext, closed_form_heights,
                                 flat_pairs_from_lanes, pair_objective,
                                 prepare_pair, reconstruct_closed_form,
                                 solve_boundary_pair, solve_frame)
@@ -15,6 +19,8 @@ from lane3d.synth import HillProfile, RoadSpec, generate_scene
 from conftest import H_CAM
 
 HILL_SPEC = RoadSpec(height_profile=HillProfile(start_y=40.0, length=120.0, peak_z=0.89))
+# sampled every metre, the noise-free closed form admits no descent step
+DENSE_HILL_SPEC = dataclasses.replace(HILL_SPEC, y_step=1.0)
 
 
 def flat_lane(lane_id, x, ys, vis=None):
@@ -48,6 +54,19 @@ def test_options_from_dict_coerce_by_default_type_and_reject_unknown_keys():
         SolveOptions.from_dict({"max_iter": 3, "tolerance": 1.0})
     with pytest.raises(InvalidInput, match="JSON object"):
         SolveOptions.from_dict({"pairing": []})
+    # ints take only integral numbers, floats only finite ones; the JSON
+    # parser reads NaN and Infinity as floats
+    for bad, match in [({"max_iters": 2.7}, "max_iters must be an integer"),
+                       ({"max_iters": True}, "max_iters must be a number"),
+                       ({"max_iters": "7"}, "max_iters must be a number"),
+                       ({"pairing": {"window": 2.5}}, "window must be an integer"),
+                       ({"step": True}, "step must be a number"),
+                       (json.loads('{"step": Infinity}'), "step must be finite"),
+                       (json.loads('{"tol": -Infinity}'), "tol must be finite"),
+                       (json.loads('{"lambda_geo": NaN}'), "lambda_geo must be finite"),
+                       ({"step": 10 ** 400}, "step must be finite")]:
+        with pytest.raises(InvalidInput, match=match):
+            SolveOptions.from_dict(bad)
 
 
 def test_closed_form_examples():
@@ -197,3 +216,89 @@ def test_closed_form_heights_vectorized():
     d = np.array([3.5, 7.0, 1.75])
     z = closed_form_heights(d, 3.5, H_CAM)
     assert np.allclose(z, [0.0, 0.89, -1.78], atol=1e-12)
+
+
+def sequential_halving_solve(left, right, h_cam, opts=SolveOptions()):
+    """Reference descent: one objective call per trial step, halving the
+    step until J does not increase, at most 20 times."""
+    ctx, z = prepare_pair(left, right, h_cam, opts)
+    value, grad = pair_objective(z, ctx)
+    step = opts.step
+    trace = [(0, value, step)]
+    iters = 0
+    for it in range(1, opts.max_iters + 1):
+        trial = z - step * grad
+        trial_value, trial_grad = pair_objective(trial, ctx)
+        halvings = 0
+        while trial_value > value and halvings < 20:
+            step *= 0.5
+            halvings += 1
+            trial = z - step * grad
+            trial_value, trial_grad = pair_objective(trial, ctx)
+        if trial_value > value:
+            break
+        improvement = value - trial_value
+        z, value, grad = trial, trial_value, trial_grad
+        iters = it
+        trace.append((it, value, step))
+        if improvement < opts.tol:
+            break
+        if halvings == 0:
+            step = min(step * 1.25, opts.step)
+    return iters, trace, value, np.minimum(z, h_cam - 1e-6)
+
+
+def test_batched_objective_rows_equal_single_calls():
+    rng = np.random.default_rng(63)
+    scene = generate_scene(HILL_SPEC, seed=6)
+    left, right = project_scene(scene, noise_rng=rng)
+    ctx_long, z_long = prepare_pair(left, right, H_CAM, SolveOptions())
+    assert len(ctx_long.i_idx) > 8
+    ctx_short = _PairContext(
+        a=np.array([[0.0, 5.0], [0.1, 9.0]]), b=np.array([[3.5, 5.2], [3.4, 9.1]]),
+        i_idx=np.array([0, 1]), j_idx=np.array([1, 3]), n_left=2, n_right=5,
+        c_hat=3.5, h_cam=H_CAM, lambda_geo=1e-2)
+    cases = [(ctx_long, z_long), (ctx_short, np.zeros(7)),
+             (dataclasses.replace(ctx_long, lambda_geo=0.0), z_long)]
+    for ctx, z0 in cases:
+        stack = z0 + rng.normal(0.0, 0.05, size=(20, len(z0)))
+        values, grads = pair_objective(stack, ctx)
+        assert values.shape == (20,) and grads.shape == stack.shape
+        for k in range(20):
+            value, grad = pair_objective(stack[k], ctx)
+            assert type(value) is float
+            assert np.float64(value).tobytes() == values[k].tobytes()
+            assert grad.tobytes() == grads[k].tobytes()
+
+
+@pytest.mark.parametrize("spec, noise_seed", [(DENSE_HILL_SPEC, None), (HILL_SPEC, None),
+                                              (HILL_SPEC, 64), (DENSE_HILL_SPEC, 65)])
+def test_solve_matches_sequential_halving_reference(spec, noise_seed):
+    rng = None if noise_seed is None else np.random.default_rng(noise_seed)
+    left, right = project_scene(generate_scene(spec, seed=7), noise_rng=rng)
+    iters, trace, value, z = sequential_halving_solve(left, right, H_CAM)
+    res = solve_boundary_pair(left, right, H_CAM)
+    if spec is DENSE_HILL_SPEC and noise_seed is None:
+        assert iters == 0
+    else:
+        assert iters >= 1 and len({step for _, _, step in trace}) > 1
+    assert res.iters == iters
+    assert np.array(res.trace).tobytes() == np.array(trace).tobytes()
+    assert np.float64(res.objective).tobytes() == np.float64(value).tobytes()
+    assert np.concatenate([res.z_left, res.z_right]).tobytes() == z.tobytes()
+
+
+def test_noise_free_pair_makes_three_objective_calls(monkeypatch):
+    # the start, one trial step, and every halving of it in one batched call
+    calls = []
+
+    def counted(z, ctx):
+        calls.append(z.shape)
+        return pair_objective(z, ctx)
+
+    monkeypatch.setattr(lane3d.reconstruct, "pair_objective", counted)
+    left, right = project_scene(generate_scene(DENSE_HILL_SPEC, seed=7))
+    res = solve_boundary_pair(left, right, H_CAM)
+    assert res.iters == 0
+    n = len(left) + len(right)
+    assert calls == [(n,), (n,), (20, n)]
