@@ -3,8 +3,6 @@ evaluate | plot.
 
 Every command is deterministic given its flags and seed. Data goes to files,
 diagnostics to stderr. Exit codes: 0 ok, 1 usage, 2 data error, 3 I/O.
-Frames may be processed by a bounded worker pool; output ordering always
-matches input ordering.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import evaluate as ev
@@ -35,14 +32,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-def _ordered_map(fn, items, workers: int):
-    """Apply fn to items, optionally in a worker pool; results keep order."""
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_json(path) -> dict:
@@ -69,7 +58,7 @@ def _frame_file(directory: Path, frame_id: str, suffix: str) -> Path:
 
 
 def cmd_generate(args) -> int:
-    config = _parse_config(args.config, dict) if args.config else {}
+    config = _parse_config(args.config, lambda raw: raw) if args.config else {}
     try:
         scenes = synth.generate_scenes(config, args.count, args.seed)
     except (TypeError, ValueError, KeyError) as e:
@@ -85,8 +74,7 @@ def cmd_augment(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     scenes = model.read_scenes(args.in_path)
-    out = _ordered_map(lambda pair: augment_scene(pair[1], cfg, draw_index=pair[0]),
-                       list(enumerate(scenes)), args.workers)
+    out = [augment_scene(scene, cfg, draw_index=i) for i, scene in enumerate(scenes)]
     model.write_scenes(out, args.out)
     print(f"augmented {len(out)} scenes to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -103,7 +91,7 @@ def _project_scene(scene: Scene) -> FlatFrame:
 
 def cmd_project(args) -> int:
     scenes = model.read_scenes(args.in_path)
-    frames = _ordered_map(_project_scene, scenes, args.workers)
+    frames = [_project_scene(scene) for scene in scenes]
     model.write_flat_frames(frames, args.out)
     print(f"projected {len(frames)} frames to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -141,7 +129,7 @@ def cmd_reconstruct(args) -> int:
         return Scene(frame_id=frame.frame_id, camera=frame.camera,
                      lanes=result.lanes, metadata=meta)
 
-    scenes = _ordered_map(solve, frames, args.workers)
+    scenes = [solve(frame) for frame in frames]
     model.write_scenes(scenes, args.out)
     skipped = sum(1 for s in scenes
                   for v in s.metadata.values() if v == "no_pairing")
@@ -218,9 +206,6 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="lane3d", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_workers(p):
-        p.add_argument("--workers", type=int, default=1, metavar="N")
-
     p = sub.add_parser("generate", help="generate synthetic scenes")
     p.add_argument("--config", help="generator config JSON")
     p.add_argument("--count", type=int, default=100)
@@ -233,13 +218,11 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="augment config JSON")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--out", required=True)
-    add_workers(p)
     p.set_defaults(fn=cmd_augment)
 
     p = sub.add_parser("project", help="project scenes to flat-ground lanes")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
-    add_workers(p)
     p.set_defaults(fn=cmd_project)
 
     p = sub.add_parser("reconstruct", help="reconstruct 3D lanes from flat lanes")
@@ -248,7 +231,6 @@ def build_parser() -> _Parser:
     p.add_argument("--h-cam", dest="h_cam", type=float, default=None,
                    help="override the camera height of the input frames")
     p.add_argument("--out", required=True)
-    add_workers(p)
     p.set_defaults(fn=cmd_reconstruct)
 
     p = sub.add_parser("evaluate", help="evaluate predictions against GT")

@@ -141,7 +141,7 @@ def _as_points(arr, ncols: int, lane_id: str) -> np.ndarray:
         pts = pts.reshape(0, ncols)
     _require(pts.ndim == 2 and pts.shape[1] == ncols,
              f"lane '{lane_id}': points must be (N, {ncols})")
-    _require(bool(np.all(np.isfinite(pts))), f"lane '{lane_id}': points must be finite")
+    _require(bool(np.isfinite(pts).all()), f"lane '{lane_id}': points must be finite")
     return pts
 
 
@@ -150,13 +150,13 @@ def _as_visibility(arr, n: int, lane_id: str) -> np.ndarray:
     _require(vis.shape == (n,),
              f"lane '{lane_id}': visibility length {vis.size} != point count {n}")
     # check before casting so fractional flags fail instead of truncating
-    _require(bool(np.all((vis == 0) | (vis == 1))),
+    _require(bool(((vis == 0) | (vis == 1)).all()),
              f"lane '{lane_id}': visibility flags must be 0 or 1")
     return vis.astype(int)
 
 
 def _check_monotone_y(y: np.ndarray, lane_id: str) -> None:
-    _require(bool(np.all(np.diff(y) > 0)),
+    _require(bool((y[1:] > y[:-1]).all()),
              f"lane '{lane_id}': points must be strictly increasing in y")
 
 

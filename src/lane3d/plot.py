@@ -32,7 +32,8 @@ def _scale(v, lo, hi, out_lo, out_hi):
 
 
 def _polyline(parent, xs, ys, color, series, dashed=False):
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
+    xy = np.column_stack([xs, ys]).ravel().tolist()
+    pts = ("%.2f,%.2f " * len(xs) % tuple(xy))[:-1]
     attrs = {"points": pts, "fill": "none", "stroke": color, "stroke-width": "2",
              "class": f"series-{series}"}
     if dashed:
@@ -54,22 +55,16 @@ def _panel(svg, x0, title, lanes_by_series, value_fn, y_label):
                                           "font-size": "12"})
     label.text = y_label
 
-    all_h, all_v = [], []
-    series_data = []
-    for series, lanes, color, dashed in lanes_by_series:
-        for lane in lanes:
-            h, v = value_fn(lane)
-            all_h.extend(h)
-            all_v.extend(v)
-            series_data.append((series, h, v, color, dashed))
-    if not all_h:
+    series_data = [(series, *value_fn(lane), color, dashed)
+                   for series, lanes, color, dashed in lanes_by_series
+                   for lane in lanes]
+    if not series_data:
         return
-    h_lo, h_hi = _axis_range(np.array(all_h))
-    v_lo, v_hi = _axis_range(np.array(all_v))
+    h_lo, h_hi = _axis_range(np.concatenate([h for _, h, _, _, _ in series_data]))
+    v_lo, v_hi = _axis_range(np.concatenate([v for _, _, v, _, _ in series_data]))
     for series, h, v, color, dashed in series_data:
-        xs = [_scale(x, h_lo, h_hi, _MARGIN, _PANEL_W - _MARGIN) for x in h]
-        ys = [_scale(y, v_lo, v_hi, _PANEL_H - _MARGIN, _MARGIN) for y in v]
-        _polyline(group, xs, ys, color, series, dashed)
+        _polyline(group, _scale(h, h_lo, h_hi, _MARGIN, _PANEL_W - _MARGIN),
+                  _scale(v, v_lo, v_hi, _PANEL_H - _MARGIN, _MARGIN), color, series, dashed)
 
 
 def render_scene_svg(scene: Scene, pred_lanes: list[Lane3D] | None = None) -> ET.Element:

@@ -330,14 +330,24 @@ def sample_road_spec(config: dict, rng: np.random.Generator) -> RoadSpec:
     return RoadSpec(height_profile=(0.0,), **base)
 
 
+def _unknown_keys(config, defaults: dict, where: str) -> list[str]:
+    """Dotted paths of the keys in config that defaults does not have, at the
+    top level and inside every nested object of defaults that config gives."""
+    if not isinstance(config, dict):
+        raise InvalidInput(f"generator config: {where or 'the config'} must be a JSON object")
+    prefix = f"{where}." if where else ""
+    unknown = [prefix + key for key in sorted(set(config) - set(defaults))]
+    for key, default in defaults.items():
+        if isinstance(default, dict) and key in config:
+            unknown += _unknown_keys(config[key], default, prefix + key)
+    return unknown
+
+
 def _check_generator_keys(config: dict) -> None:
-    """Reject keys the generator does not read, top level and under 'hill',
-    so a misspelled key fails instead of silently keeping its default."""
-    hill = config.get("hill", {}) if isinstance(config, dict) else None
-    if not isinstance(hill, dict):
-        raise InvalidInput("generator config and its 'hill' must be JSON objects")
-    unknown = sorted(set(config) - set(DEFAULT_GENERATOR))
-    unknown += sorted(f"hill.{key}" for key in set(hill) - set(DEFAULT_GENERATOR["hill"]))
+    """Reject keys the generator does not read, at the top level and under
+    'hill', 'camera' and 'camera.intrinsics', so a misspelled key fails
+    instead of silently keeping its default."""
+    unknown = _unknown_keys(config, DEFAULT_GENERATOR, "")
     if unknown:
         raise InvalidInput(f"generator config: unknown keys: {', '.join(unknown)}")
 

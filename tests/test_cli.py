@@ -150,8 +150,14 @@ def test_frame_id_that_is_not_a_plain_name_exit_2(tmp_path, frame_id):
 
 def test_misspelled_config_key_exit_2(tmp_path, capsys):
     gen = tmp_path / "gen.json"
+    camera = json.loads((Path(CONFIGS) / "generate_default.json").read_text())["camera"]
     for config, key in [({"lane_widht": 3.0}, "lane_widht"),
-                        ({"hill": {"peak_z_rnage": [0.1, 0.2]}}, "hill.peak_z_rnage")]:
+                        ({"hill": {"peak_z_rnage": [0.1, 0.2]}}, "hill.peak_z_rnage"),
+                        ({"camera": {**camera, "roll_rad": 0.2}}, "camera.roll_rad"),
+                        ({"camera": {**camera, "intrinsics": {**camera["intrinsics"],
+                                                              "skew": 0.0}}},
+                         "camera.intrinsics.skew"),
+                        ([["lane_width", 5.0]], "must be a JSON object")]:
         gen.write_text(json.dumps(config))
         assert run(["generate", "--count", 0, "--config", gen,
                     "--out", tmp_path / "gen.jsonl"]) == 2
@@ -252,16 +258,6 @@ def test_usage_error_exit_1():
 def test_missing_input_exit_3(tmp_path):
     assert run(["project", "--in", tmp_path / "absent.jsonl",
                 "--out", tmp_path / "o.jsonl"]) == 3
-
-
-def test_workers_preserve_order(tmp_path):
-    scenes = tmp_path / "scenes.jsonl"
-    run(["generate", "--count", 12, "--seed", 12, "--out", scenes])
-    serial = tmp_path / "serial.jsonl"
-    pooled = tmp_path / "pooled.jsonl"
-    run(["project", "--in", scenes, "--out", serial])
-    run(["project", "--in", scenes, "--out", pooled, "--workers", 4])
-    assert serial.read_bytes() == pooled.read_bytes()
 
 
 def test_console_entry_point(tmp_path):

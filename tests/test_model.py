@@ -20,6 +20,11 @@ def test_point_finite_required():
         Point3D(math.nan, 0.0, 0.0)
     with pytest.raises(InvariantViolation):
         Point2D(0.0, math.inf)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvariantViolation, match="finite"):
+            Lane3D(id="a", points=[[0, 1, 0], [bad, 2, 0]], visibility=[1, 1])
+        with pytest.raises(InvariantViolation, match="finite"):
+            Lane2D(id="a", points=[[0, 1], [0, bad]], visibility=[1, 1])
 
 
 def test_camera_invariants():
@@ -34,6 +39,8 @@ def test_lane_monotone_y_names_lane():
     with pytest.raises(InvariantViolation, match="wiggly"):
         Lane3D(id="wiggly", points=[[0, 5, 0], [0, 4, 0], [0, 6, 0]],
                visibility=[1, 1, 1])
+    with pytest.raises(InvariantViolation, match="strictly increasing"):
+        Lane3D(id="a", points=[[0, 5, 0], [0, 5, 0]], visibility=[1, 1])
 
 
 def test_lane_visibility_checked():
@@ -44,6 +51,11 @@ def test_lane_visibility_checked():
     # fractional flags are rejected, not truncated
     with pytest.raises(InvariantViolation, match="0 or 1"):
         Lane3D(id="a", points=[[0, 1, 0], [0, 2, 0]], visibility=[1.0, 0.7])
+    for text in (["1", "0"], ["a", "b"]):
+        with pytest.raises(InvariantViolation, match="0 or 1"):
+            Lane3D(id="a", points=[[0, 1, 0], [0, 2, 0]], visibility=text)
+    lane = Lane3D(id="a", points=[[0, 1, 0], [0, 2, 0]], visibility=[True, False])
+    assert lane.visibility.tolist() == [1, 0]
 
 
 def test_scene_unique_lane_ids(pose):
