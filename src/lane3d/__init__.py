@@ -24,7 +24,7 @@ from .pairing import PairingConfig, match_point_pairs, adjacent_index_pairs
 from .projection import (compute_visibility, ipm_homography,
                          lift_from_virtual_top, project_front_view,
                          project_real_top, project_virtual_top)
-from .reconstruct import SolveOptions, reconstruct_closed_form
+from .reconstruct import SolveOptions
 from .synth import (AnchorConfig, HillProfile, MaskGeometry, RoadSpec,
                     decode_anchors, encode_anchors, generate_scene,
                     generate_scenes, rasterize_top_mask, write_mask_pgm)

@@ -146,9 +146,3 @@ def augment_scene(scene: Scene, cfg: AugmentConfig, draw_index: int = 0) -> Scen
     rotation = composed_rotation(angles["pitch"], angles["roll"], angles["yaw"])
     meta = {f"augment_{axis}_rad": repr(angles[axis]) for axis in _AXES}
     return rotate_scene(scene, rotation, metadata=meta)
-
-
-def inverse_of(rotation: np.ndarray) -> np.ndarray:
-    """Inverse of a rotation matrix (its transpose)."""
-    return np.asarray(rotation).T
-

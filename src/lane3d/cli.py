@@ -97,15 +97,19 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
-def _reconstruct_config(raw: dict):
-    opts = SolveOptions.from_dict({k: v for k, v in raw.items() if k != "trace_dir"})
-    return opts, raw.get("trace_dir")
+def _reconstruct_config(raw):
+    trace_dir = raw.pop("trace_dir", None) if isinstance(raw, dict) else None
+    if trace_dir is not None and (not isinstance(trace_dir, str) or "\0" in trace_dir):
+        raise InvalidInput(f"trace_dir must be a path string, got {trace_dir!r}")
+    return SolveOptions.from_dict(raw), None if trace_dir is None else Path(trace_dir)
 
 
 def cmd_reconstruct(args) -> int:
     opts, trace_dir = _parse_config(args.config, _reconstruct_config) \
         if args.config else (SolveOptions(), None)
     frames = model.read_flat_frames(args.in_path)
+    if trace_dir is not None:
+        trace_dir.mkdir(parents=True, exist_ok=True)
 
     def solve(frame: FlatFrame) -> Scene:
         if args.h_cam is not None:
@@ -117,10 +121,8 @@ def cmd_reconstruct(args) -> int:
                               lanes=frame.lanes)
         result = solve_frame(frame.lanes, frame.camera.height_m, opts)
         if trace_dir is not None:
-            out = Path(trace_dir)
-            out.mkdir(parents=True, exist_ok=True)
             for k, trace in enumerate(result.traces):
-                write_trace_csv(trace, _frame_file(out, frame.frame_id, f"_pair{k}.csv"))
+                write_trace_csv(trace, _frame_file(trace_dir, frame.frame_id, f"_pair{k}.csv"))
         meta = {f"solver_status:{lane_id}": status
                 for lane_id, status in sorted(result.statuses.items())}
         for lane_id, was_clamped in sorted(result.clamped.items()):

@@ -18,6 +18,7 @@ distinct kept-prediction set, on those tables' kept columns.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,65 @@ class FrameMatching:
         return len(self.unmatched_gt)
 
 
+def _min_cost_assignment(cost: list[list[float]]) -> list[int]:
+    """Column of each row in a minimum-cost assignment of a square matrix of
+    finite costs, by shortest augmenting paths (Crouse, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 2016).
+
+    It follows the reference rectangular_lsap solver step for step: rows are
+    added in order, the unvisited columns are scanned from the last one, an
+    equal-cost free column wins over an assigned one, and the reduced costs
+    and duals are updated with the same float operations in the same order,
+    so the assignment, ties included, is the reference's (the tests compare
+    the two).
+    """
+    n = len(cost)
+    u, v = [0.0] * n, [0.0] * n
+    col4row, row4col, path = [-1] * n, [-1] * n, [-1] * n
+    for cur in range(n):
+        shortest = [math.inf] * n
+        visited_rows, visited_cols = [], []
+        remaining = list(range(n - 1, -1, -1))
+        i, sink, min_val = cur, -1, 0.0
+        # Dijkstra on reduced costs from row cur to the nearest free column
+        while sink == -1:
+            visited_rows.append(i)
+            row, u_i = cost[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                s = shortest[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest, index = s, it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            visited_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # update the duals, then augment: each row on the path takes the
+        # column after it, up to the free sink
+        u[cur] += min_val
+        for i in visited_rows[1:]:
+            u[i] += min_val - shortest[col4row[i]]
+        for j in visited_cols:
+            v[j] -= min_val - shortest[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def _assignment(cost: np.ndarray, admissible: np.ndarray) -> list[tuple[int, int]]:
     """Maximize the number of admissible matches, then minimize total cost.
 
@@ -102,21 +162,14 @@ def _assignment(cost: np.ndarray, admissible: np.ndarray) -> list[tuple[int, int
     n, m = cost.shape
     if n == 0 or m == 0:
         return []
-    # Deferred: scipy.optimize is most of the cost of importing lane3d.
-    from scipy.optimize import linear_sum_assignment
-
     big = 1.0 + float(np.sum(cost[admissible])) if np.any(admissible) else 1.0
     size = n + m
     padded = np.zeros((size, size))
     padded[:n, :m] = np.where(admissible, cost, 4.0 * big)
     padded[:n, m:] = big
     padded[n:, :m] = big
-    rows, cols = linear_sum_assignment(padded)
-    out = []
-    for r, c in zip(rows, cols):
-        if r < n and c < m and admissible[r, c]:
-            out.append((int(r), int(c)))
-    return out
+    cols = _min_cost_assignment(padded.tolist())
+    return [(r, cols[r]) for r in range(n) if cols[r] < m and admissible[r, cols[r]]]
 
 
 @dataclass

@@ -406,15 +406,17 @@ def camera_to_dict(cam: CameraPose) -> dict:
     }
 
 
+def _numbers(name: str, d: dict, defaults: dict) -> dict:
+    """The keys of defaults read from d, each coerced by its default's type."""
+    return {key: _coerce(f"{name}.{key}", default, d[key])
+            for key, default in defaults.items()}
+
+
 def camera_from_dict(d: dict) -> CameraPose:
-    k = d["intrinsics"]
     return CameraPose(
-        height_m=float(d["height_m"]),
-        pitch_rad=float(d["pitch_rad"]),
-        intrinsics=Intrinsics(fx=float(k["fx"]), fy=float(k["fy"]),
-                              cx=float(k["cx"]), cy=float(k["cy"]),
-                              width_px=int(k["width_px"]), height_px=int(k["height_px"])),
-    )
+        **_numbers("camera", d, {"height_m": 0.0, "pitch_rad": 0.0}),
+        intrinsics=Intrinsics(**_numbers("camera.intrinsics", d["intrinsics"], {
+            "fx": 0.0, "fy": 0.0, "cx": 0.0, "cy": 0.0, "width_px": 0, "height_px": 0})))
 
 
 def _lane_to_dict(lane: _Lane) -> dict:
@@ -465,7 +467,7 @@ def _anchor_set_to_dict(aset: AnchorSet) -> dict:
 
 def _anchor_set_from_dict(d: dict) -> AnchorSet:
     anchors = [Anchor(id=a["id"], x_offsets=a["x_offsets"], z=a["z"],
-                      vis=a["vis"], prob=float(a["prob"]))
+                      vis=a["vis"], prob=_coerce(f"anchor {a['id']!r} prob", 0.0, a["prob"]))
                for a in d["anchors"]]
     return AnchorSet(y_refs=d["y_refs"], anchors=anchors)
 
@@ -486,7 +488,8 @@ def prediction_to_dict(pred: Prediction) -> dict:
 
 def prediction_from_dict(d: dict) -> Prediction:
     lanes = [_lane_from_dict(Lane3D, ld) for ld in d["lanes"]]
-    probs = [float(ld.get("prob", 1.0)) for ld in d["lanes"]]
+    probs = [_coerce(f"lane {ld['id']!r} prob", 0.0, ld.get("prob", 1.0))
+             for ld in d["lanes"]]
     anchors = _anchor_set_from_dict(d["anchors"]) if "anchors" in d else None
     return Prediction(frame_id=d["frame_id"], camera=camera_from_dict(d["camera"]),
                       lanes=lanes, probs=probs, anchors=anchors)
@@ -523,8 +526,8 @@ def _read_jsonl(path, from_dict):
                 raise ParseError(f"{path}:{lineno}: invalid JSON: {e}") from e
             try:
                 out.append(from_dict(raw))
-            except InvariantViolation as e:
-                raise InvariantViolation(f"{path}:{lineno}: {e}") from e
+            except (InvalidInput, InvariantViolation) as e:
+                raise type(e)(f"{path}:{lineno}: {e}") from e
             except (KeyError, TypeError, ValueError) as e:
                 raise ParseError(f"{path}:{lineno}: malformed record: {e!r}") from e
     return out

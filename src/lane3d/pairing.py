@@ -105,13 +105,8 @@ def adjacent_index_pairs(l1: Lane3D, l2: Lane3D) -> PairMap:
     anchor-index domain for this to be meaningful."""
     if len(l1) == 0 or len(l2) == 0:
         raise InvalidInput("cannot pair empty lanes")
-    pts1, pts2 = l1.points, l2.points
+    pts1, pts2 = l1.points.tolist(), l2.points.tolist()
     n2 = len(pts2)
-    pairs = {}
-    for i in range(len(pts1)):
-        cands = [j for j in (i - 1, i, i + 1) if 0 <= j < n2]
-        if not cands:
-            continue
-        dists = [float(np.linalg.norm(pts1[i] - pts2[j])) for j in cands]
-        pairs[i] = cands[int(np.argmin(dists))]
+    pairs = {i: _windowed_argmin(pts1[i], pts2, max(0, i - 1), min(n2 - 1, i + 1))[0]
+             for i in range(min(len(pts1), n2 + 1))}
     return PairMap(pairs=pairs, source_id=l1.id, target_id=l2.id)

@@ -21,14 +21,13 @@ never increases across accepted steps.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegeneratePair, InvalidInput, InvariantViolation, NoPairing
 from .losses import lifted_width, second_difference_l1
-from .model import Config, Lane2D, Lane3D, Point2D
+from .model import Config, Lane2D, Lane3D
 from .pairing import DEFAULT_PAIRING, PairingConfig, match_point_pairs
 from .projection import lift_from_virtual_top_xy
 
@@ -47,16 +46,6 @@ def closed_form_heights(d_flat: np.ndarray, true_width: float, h_cam: float) -> 
     if np.any(d <= _MIN_FLAT_WIDTH):
         raise DegeneratePair("flat pair distance too small to carry width information")
     return h_cam * (1.0 - true_width / d)
-
-
-def reconstruct_closed_form(flat_pairs, true_width: float, h_cam: float) -> list[float]:
-    """Per-pair height estimates from flat-ground point pairs.
-
-    flat_pairs is a sequence of (left, right) Point2D pairs. Exact when the
-    pair truly shares a height and the lane truly has width true_width.
-    """
-    d = np.array([math.hypot(l.x - r.x, l.y - r.y) for l, r in flat_pairs])
-    return [float(z) for z in closed_form_heights(d, true_width, h_cam)]
 
 
 @dataclass(frozen=True)
@@ -293,12 +282,6 @@ def solve_frame(flat_lanes: list[Lane2D], h_cam: float,
             statuses[lane.id] = "folded"
     return FrameSolve(lanes=lanes, statuses=statuses, clamped=clamped,
                       z_by_lane=z_by_lane, traces=traces)
-
-
-def flat_pairs_from_lanes(left: Lane2D, right: Lane2D) -> list[tuple[Point2D, Point2D]]:
-    """Index-matched flat point pairs for boundaries sampled on one grid."""
-    n = min(len(left), len(right))
-    return [(left.point(i), right.point(i)) for i in range(n)]
 
 
 def write_trace_csv(trace, path) -> None:

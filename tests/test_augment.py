@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from lane3d.augment import (AugmentConfig, augment_scene, composed_rotation,
-                            draw_angles, inverse_of, rot_x, rot_y, rot_z,
-                            rotate_scene)
+                            draw_angles, rot_x, rot_y, rot_z, rotate_scene)
 from lane3d.errors import InvalidInput
 from lane3d.losses import dist3d
 from lane3d.model import Scene
@@ -93,7 +92,7 @@ def test_pure_yaw_preserves_height(pose):
 def test_inverse_rotation_restores_scene(simple_scene):
     r = composed_rotation(0.1, 0.05, -0.2)
     rotated = rotate_scene(simple_scene, r)
-    restored = rotate_scene(rotated, inverse_of(r))
+    restored = rotate_scene(rotated, r.T)
     for before, after in zip(simple_scene.lanes, restored.lanes):
         assert np.max(np.abs(before.points - after.points)) < 1e-9
 

@@ -174,6 +174,42 @@ def test_misspelled_config_key_exit_2(tmp_path, capsys):
     assert run(["evaluate", scenes, scenes, "--config", ev,
                 "--out", tmp_path / "report.json"]) == 2
     assert "point_tolerence" in capsys.readouterr().err
+    flat = tmp_path / "flat.jsonl"
+    assert run(["project", "--in", scenes, "--out", flat]) == 0
+    rec = tmp_path / "rec.json"
+    for config, message in [([1, 2], "must be a JSON object"),
+                            ({"trace_dir": 5}, "trace_dir must be a path string"),
+                            ({"trace_dir": "tr\0ace"}, "trace_dir must be a path string"),
+                            ({"max_iter": 5}, "max_iter")]:
+        rec.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run(["reconstruct", "--in", flat, "--config", rec,
+                    "--out", tmp_path / "rec.jsonl"]) == 2
+        assert message in capsys.readouterr().err
+
+
+def test_evaluate_runs_without_scipy(tmp_path):
+    scenes, aug, flat, rec = (tmp_path / f"{name}.jsonl"
+                              for name in ("scenes", "aug", "flat", "rec"))
+    assert run(["generate", "--count", 20, "--seed", 3, "--out", scenes]) == 0
+    assert run(["augment", "--in", scenes, "--config",
+                Path(CONFIGS) / "augment_yaw_only.json", "--out", aug]) == 0
+    assert run(["project", "--in", aug, "--out", flat]) == 0
+    assert run(["reconstruct", "--in", flat, "--out", rec]) == 0
+    report = tmp_path / "report.json"
+    assert run(["evaluate", aug, rec, "--out", report]) == 0
+    # the child cannot import scipy at all
+    child = tmp_path / "child.json"
+    code = ("import sys; sys.modules['scipy'] = None; from lane3d.cli import main; "
+            f"sys.exit(main(['evaluate', {str(aug)!r}, {str(rec)!r}, "
+            f"'--out', {str(child)!r}]))")
+    src = str(Path(lane3d.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert child.read_bytes() == report.read_bytes()
+    assert json.loads(report.read_text())["matched_pairs"]
 
 
 def test_evaluate_gt_vs_gt(tmp_path):

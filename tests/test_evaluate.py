@@ -90,6 +90,40 @@ def test_match_equals_brute_force_small_instances():
         assert sum(c for _, _, c in match.matches) == pytest.approx(total, abs=1e-9)
 
 
+def _random_costs(rng, kind, shape):
+    """Uniform floats, integers 0-3, 0/1 values or tenths 0.0-0.3. The last
+    three tie often; with tenths, float rounding decides which sums tie, so
+    only the same operations in the same order reproduce the reference."""
+    if kind == 0:
+        return rng.random(shape)
+    if kind == 3:
+        return rng.integers(0, 4, shape) * 0.1
+    return rng.integers(0, 4 if kind == 1 else 2, shape).astype(float)
+
+
+def test_assignment_matches_scipy_including_ties(monkeypatch):
+    from scipy.optimize import linear_sum_assignment
+
+    def scipy_cols(cost):
+        return linear_sum_assignment(np.array(cost))[1].tolist()
+
+    rng = np.random.default_rng(2016)
+    for k in range(24000):
+        n = int(rng.integers(1, 13))
+        cost = _random_costs(rng, k % 4, (n, n)).tolist()
+        assert evaluate_module._min_cost_assignment(cost) == scipy_cols(cost), cost
+    # the padded matrices _assignment builds, from GT x prediction tables
+    # with every share of admissible edges
+    tables = []
+    for k in range(3000):
+        shape = tuple(int(s) for s in rng.integers(1, 7, 2))
+        tables.append((_random_costs(rng, k % 4, shape),
+                       rng.random(shape) < rng.choice([0.2, 0.5, 0.9, 1.0])))
+    ours = [evaluate_module._assignment(cost, adm) for cost, adm in tables]
+    monkeypatch.setattr(evaluate_module, "_min_cost_assignment", scipy_cols)
+    assert [evaluate_module._assignment(cost, adm) for cost, adm in tables] == ours
+
+
 def test_fscore_arithmetic():
     assert fscore_from_counts(4, 0, 0).f_score == 1.0
     fs = fscore_from_counts(2, 0, 2)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lane3d.errors import InvariantViolation, ParseError
+from lane3d.errors import InvalidInput, InvariantViolation, ParseError
 from lane3d.model import (Anchor, AnchorSet, CameraPose, Intrinsics, Lane2D,
                           Lane3D, PairMap, Point2D, Point3D, Prediction,
                           Scene, TopViewMask, read_predictions, read_scenes,
@@ -110,6 +110,22 @@ def test_read_hand_written_minimal_line(tmp_path):
     out = tmp_path / "round.jsonl"
     write_scenes([scene], out)
     assert out.read_text() == line + "\n"
+    # camera fields take only JSON numbers: integral ints, finite floats; the
+    # error keeps the path:line prefix of other record errors
+    for field, bad, message in [
+            ('"width_px":1920', '"width_px":1e999', "width_px must be an integer, got inf"),
+            ('"width_px":1920', '"width_px":1920.7', "width_px must be an integer, got 1920.7"),
+            ('"width_px":1920', '"width_px":true', "width_px must be a number"),
+            ('"height_m":1.78', '"height_m":"1.78"', "height_m must be a number, got '1.78'"),
+            ('"height_m":1.78', '"height_m":1e999', "height_m must be finite, got inf"),
+            ('"fx":1000.0', '"fx":NaN', "fx must be finite, got nan")]:
+        path.write_text("\n" + line.replace(field, bad) + "\n")
+        with pytest.raises(InvalidInput, match=f"hand.jsonl:2: camera.*{message}"):
+            read_scenes(path)
+    # integral floats coerce to the same numbers
+    path.write_text(line.replace('"width_px":1920', '"width_px":1920.0') + "\n")
+    (same,) = read_scenes(path)
+    assert same == scene and type(same.camera.intrinsics.width_px) is int
 
 
 def test_read_reports_line_number_on_bad_json(tmp_path, simple_scene):
@@ -161,6 +177,11 @@ def test_prediction_round_trip(tmp_path, simple_scene):
     write_predictions([pred], path)
     back = read_predictions(path)
     assert back == [pred]
+    doc = json.loads(path.read_text())
+    doc["anchors"]["anchors"][0]["prob"] = "0.9"
+    path.write_text(json.dumps(doc) + "\n")
+    with pytest.raises(InvalidInput, match="pred.jsonl:1: anchor 'left' prob must be a number"):
+        read_predictions(path)
 
 
 def test_prediction_prob_defaults_to_one(tmp_path, simple_scene):
@@ -168,6 +189,17 @@ def test_prediction_prob_defaults_to_one(tmp_path, simple_scene):
     write_scenes([simple_scene], path)
     preds = read_predictions(path)
     assert preds[0].probs == [1.0, 1.0]
+    doc = json.loads(path.read_text())
+    for bad, message in [("0.5", "lane 'left' prob must be a number, got '0.5'"),
+                         (True, "lane 'left' prob must be a number, got True"),
+                         (float("inf"), "lane 'left' prob must be finite")]:
+        doc["lanes"][0]["prob"] = bad
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(InvalidInput, match=f"scenes.jsonl:1: {message}"):
+            read_predictions(path)
+    doc["lanes"][0]["prob"] = 1
+    path.write_text(json.dumps(doc) + "\n")
+    assert read_predictions(path)[0].probs == [1.0, 1.0]
 
 
 @st.composite

@@ -7,13 +7,12 @@ import pytest
 import lane3d.reconstruct
 from lane3d.errors import DegeneratePair, InvalidInput, NoPairing
 from lane3d.losses import grad_check
-from lane3d.model import Lane2D, Point2D
+from lane3d.model import Lane2D
 from lane3d.pairing import PairingConfig
 from lane3d.projection import project_virtual_top_xy
 from lane3d.reconstruct import (SolveOptions, _PairContext, closed_form_heights,
-                                flat_pairs_from_lanes, pair_objective,
-                                prepare_pair, reconstruct_closed_form,
-                                solve_boundary_pair, solve_frame)
+                                pair_objective, prepare_pair, solve_boundary_pair,
+                                solve_frame)
 from lane3d.synth import HillProfile, RoadSpec, generate_scene
 
 from conftest import H_CAM
@@ -70,10 +69,7 @@ def test_options_from_dict_coerce_by_default_type_and_reject_unknown_keys():
 
 
 def test_closed_form_examples():
-    pairs = [(Point2D(0, 10), Point2D(3.5, 10)),
-             (Point2D(0, 20), Point2D(7.0, 20)),
-             (Point2D(0, 30), Point2D(1.75, 30))]
-    z = reconstruct_closed_form(pairs, true_width=3.5, h_cam=H_CAM)
+    z = closed_form_heights([3.5, 7.0, 1.75], true_width=3.5, h_cam=H_CAM)
     assert z[0] == pytest.approx(0.0, abs=1e-12)
     assert z[1] == pytest.approx(0.89, abs=1e-12)
     assert z[2] == pytest.approx(-1.78, abs=1e-12)
@@ -81,14 +77,14 @@ def test_closed_form_examples():
 
 def test_closed_form_degenerate_pair():
     with pytest.raises(DegeneratePair):
-        reconstruct_closed_form([(Point2D(0, 10), Point2D(0, 10))], 3.5, H_CAM)
+        closed_form_heights([0.0], 3.5, H_CAM)
 
 
 def test_closed_form_round_trip_exact():
     scene = generate_scene(HILL_SPEC, seed=1)
     left, right = project_scene(scene)
-    pairs = flat_pairs_from_lanes(left, right)
-    z = np.array(reconstruct_closed_form(pairs, true_width=3.5, h_cam=H_CAM))
+    d_flat = np.linalg.norm(left.points - right.points, axis=1)
+    z = closed_form_heights(d_flat, true_width=3.5, h_cam=H_CAM)
     assert np.max(np.abs(z - scene.lanes[0].z)) < 1e-9
 
 
