@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import evaluate as ev
@@ -19,7 +20,7 @@ from .augment import AugmentConfig, augment_scene
 from .errors import InvalidInput, Lane3DError
 from .model import FlatFrame, Lane2D, Scene
 from .projection import project_virtual_top_xy
-from .reconstruct import SolveOptions, solve_frame, write_trace_csv
+from .reconstruct import STOP_REASONS, SolveOptions, solve_frame, write_trace_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,6 +38,13 @@ class _Parser(argparse.ArgumentParser):
 def _load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _count(text: str) -> int:
+    """argparse type for a count: a nonnegative decimal integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _parse_config(path, parse):
@@ -110,6 +118,7 @@ def cmd_reconstruct(args) -> int:
     frames = model.read_flat_frames(args.in_path)
     if trace_dir is not None:
         trace_dir.mkdir(parents=True, exist_ok=True)
+    stops = Counter()
 
     def solve(frame: FlatFrame) -> Scene:
         if args.h_cam is not None:
@@ -120,6 +129,7 @@ def cmd_reconstruct(args) -> int:
                                   intrinsics=frame.camera.intrinsics),
                               lanes=frame.lanes)
         result = solve_frame(frame.lanes, frame.camera.height_m, opts)
+        stops.update(result.stops)
         if trace_dir is not None:
             for k, trace in enumerate(result.traces):
                 write_trace_csv(trace, _frame_file(trace_dir, frame.frame_id, f"_pair{k}.csv"))
@@ -137,6 +147,8 @@ def cmd_reconstruct(args) -> int:
                   for v in s.metadata.values() if v == "no_pairing")
     if skipped:
         print(f"{skipped} lanes had no pairing", file=sys.stderr)
+    print("solver stops: " + " ".join(f"{r}={stops[r]}" for r in STOP_REASONS),
+          file=sys.stderr)
     print(f"reconstructed {len(scenes)} frames to {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -210,7 +222,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("generate", help="generate synthetic scenes")
     p.add_argument("--config", help="generator config JSON")
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_count, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_generate)

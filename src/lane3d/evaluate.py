@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
-from .model import Config, Lane3D, Prediction, Scene
+from .errors import InvalidInput, ParseError
+from .model import Config, Lane3D, Prediction, Scene, _coerce, _numbers
 from .projection import resample_flat
 
 DEFAULT_EVAL_Y_REFS = (5.0, 10.0, 15.0, 20.0, 30.0, 40.0, 50.0, 60.0, 80.0, 100.0)
@@ -336,6 +336,14 @@ class FrameBreakdown:
     pair_stats: list[PairStats]
 
 
+# default of each number field in a report, by type: from_dict coerces with it
+_REPORT_NUMBERS = dict.fromkeys(("f_score", "ap", "precision", "recall", "best_threshold",
+                                 "x_err_near", "x_err_far", "z_err_near", "z_err_far"), 0.0)
+_FRAME_COUNTS = dict.fromkeys(("tp", "fp", "fn"), 0)
+_PAIR_NUMBERS = {**dict.fromkeys(("cost", "x_near_sum", "x_far_sum", "z_near_sum",
+                                  "z_far_sum"), 0.0), "near_count": 0, "far_count": 0}
+
+
 @dataclass
 class EvalReport:
     f_score: float
@@ -386,28 +394,23 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
+        """Read to_dict's form back; numbers are coerced by field type."""
         per_frame = [
             FrameBreakdown(
-                frame_id=fb["frame_id"], tp=fb["tp"], fp=fb["fp"], fn=fb["fn"],
+                frame_id=fb["frame_id"], **_numbers("frame", fb, _FRAME_COUNTS),
                 pair_stats=[
                     PairStats(frame_id=fb["frame_id"], gt_id=p["gt_id"],
-                              pred_id=p["pred_id"], cost=p["cost"],
-                              x_near_sum=p["x_near_sum"], x_far_sum=p["x_far_sum"],
-                              z_near_sum=p["z_near_sum"], z_far_sum=p["z_far_sum"],
-                              near_count=p["near_count"], far_count=p["far_count"])
+                              pred_id=p["pred_id"], **_numbers("pair", p, _PAIR_NUMBERS))
                     for p in fb["pairs"]
                 ])
             for fb in d["per_frame"]
         ]
         return cls(
-            f_score=d["f_score"], ap=d["ap"], precision=d["precision"],
-            recall=d["recall"], best_threshold=d["best_threshold"],
-            x_err_near=d["x_err_near"], x_err_far=d["x_err_far"],
-            z_err_near=d["z_err_near"], z_err_far=d["z_err_far"],
+            **_numbers("report", d, _REPORT_NUMBERS),
             empty=d["empty"],
             matched_pairs=[tuple(t) for t in d["matched_pairs"]],
             per_frame=per_frame,
-            pr_curve=[tuple(t) for t in d["pr_curve"]])
+            pr_curve=[_coerce("pr_curve", (), t) for t in d["pr_curve"]])
 
 
 def write_report(report: EvalReport, path) -> None:
@@ -417,8 +420,16 @@ def write_report(report: EvalReport, path) -> None:
 
 
 def read_report(path) -> EvalReport:
+    """Read a report JSON; a malformed report raises a Lane3DError naming
+    the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return EvalReport.from_dict(json.load(fh))
+        raw = json.load(fh)
+    try:
+        return EvalReport.from_dict(raw)
+    except InvalidInput as e:
+        raise InvalidInput(f"{path}: {e}") from e
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"{path}: malformed report: {e!r}") from e
 
 
 def write_report_csv(report: EvalReport, path) -> None:

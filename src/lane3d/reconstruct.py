@@ -17,6 +17,13 @@ series themselves are exactly constant wherever the data term is satisfied,
 so penalizing them adds no information (see pair_objective). Descent starts
 at the closed form and uses a backtracking line search, so the objective
 never increases across accepted steps.
+
+Descent stops at the first of: no step of 20 halvings lowers J
+("no_descent"); an accepted step lowers J by less than tol ("tol"); an
+accepted step moves no height by 10 micrometres or more ("step"); or
+max_iters accepted steps ("max_iters"). The step rule ends the slow crawl
+the L1 prior causes on noisy pairs, where hundreds of tiny steps each still
+lower J but move the heights by millimetres in total.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ _Z_CLAMP_MARGIN = 1e-6
 _NEAR_RANGE_PAIRS = 3
 _Z_SERIES_WEIGHT = 5.0   # height-profile penalty scale, in camera heights
 _MAX_HALVINGS = 20       # line-search step halvings before the descent stops
+_Z_STEP_TOL = 1e-5       # metres: an accepted step moving no height this far ends descent
+STOP_REASONS = ("no_descent", "tol", "step", "max_iters")
 
 
 def closed_form_heights(d_flat: np.ndarray, true_width: float, h_cam: float) -> np.ndarray:
@@ -139,6 +148,7 @@ class PairSolve:
     c_hat: float
     objective: float
     iters: int
+    stop: str            # one of STOP_REASONS
     clamped_left: bool
     clamped_right: bool
     trace: list = field(default_factory=list)   # (iter, J, step) rows
@@ -180,7 +190,8 @@ def prepare_pair(left: Lane2D, right: Lane2D, h_cam: float,
 def solve_boundary_pair(left: Lane2D, right: Lane2D, h_cam: float,
                         opts: SolveOptions = SolveOptions()) -> PairSolve:
     """Solve one adjacent boundary pair; raises NoPairing when the matcher
-    rejects the pair."""
+    rejects the pair. The result's stop field says which rule ended the
+    descent (see the module docstring)."""
     ctx, z = prepare_pair(left, right, h_cam, opts)
     i_idx, j_idx = ctx.i_idx, ctx.j_idx
     c_hat = ctx.c_hat
@@ -189,6 +200,7 @@ def solve_boundary_pair(left: Lane2D, right: Lane2D, h_cam: float,
     step = opts.step
     trace = [(0, value, step)]
     iters = 0
+    stop = "max_iters"
     for it in range(1, opts.max_iters + 1):
         trial = z - step * grad
         trial_value, trial_grad = pair_objective(trial, ctx)
@@ -203,15 +215,21 @@ def solve_boundary_pair(left: Lane2D, right: Lane2D, h_cam: float,
             values, grads = pair_objective(trials, ctx)
             accepted = np.flatnonzero(~(values > value))
             if len(accepted) == 0:
-                break   # no descent direction left at the smallest step
+                stop = "no_descent"   # no descent left at the smallest step
+                break
             k = int(accepted[0])
             step = float(steps[k])
             trial, trial_value, trial_grad = trials[k], float(values[k]), grads[k]
         improvement = value - trial_value
+        moved = float(np.max(np.abs(trial - z)))
         z, value, grad = trial, trial_value, trial_grad
         iters = it
         trace.append((it, value, step))
+        if moved < _Z_STEP_TOL:
+            stop = "step"
+            break
         if improvement < opts.tol:
+            stop = "tol"
             break
         if not backtracked:
             step = min(step * 1.25, opts.step)
@@ -222,7 +240,7 @@ def solve_boundary_pair(left: Lane2D, right: Lane2D, h_cam: float,
     clamped_right = bool(np.any(zr > limit))
     return PairSolve(z_left=np.minimum(zl, limit), z_right=np.minimum(zr, limit),
                      i_idx=i_idx, j_idx=j_idx, c_hat=c_hat, objective=value,
-                     iters=iters, clamped_left=clamped_left,
+                     iters=iters, stop=stop, clamped_left=clamped_left,
                      clamped_right=clamped_right, trace=trace)
 
 
@@ -233,6 +251,7 @@ class FrameSolve:
     clamped: dict[str, bool]             # lane id -> any z clamped below h_cam
     z_by_lane: dict[str, np.ndarray]     # solved height profile per solved lane
     traces: list                         # one trace per solved boundary pair
+    stops: list[str]                     # each solve's PairSolve.stop, as traces
 
 
 def solve_frame(flat_lanes: list[Lane2D], h_cam: float,
@@ -253,6 +272,7 @@ def solve_frame(flat_lanes: list[Lane2D], h_cam: float,
     clamped = {lane.id: False for lane in flat_lanes}
     contributions: dict[str, list[np.ndarray]] = {lane.id: [] for lane in flat_lanes}
     traces = []
+    stops = []
 
     for a_pos, b_pos in zip(order, order[1:]):
         a, b = flat_lanes[a_pos], flat_lanes[b_pos]
@@ -266,6 +286,7 @@ def solve_frame(flat_lanes: list[Lane2D], h_cam: float,
         clamped[b.id] = clamped[b.id] or res.clamped_right
         statuses[a.id] = statuses[b.id] = "ok"
         traces.append(res.trace)
+        stops.append(res.stop)
 
     lanes = []
     z_by_lane = {}
@@ -281,7 +302,7 @@ def solve_frame(flat_lanes: list[Lane2D], h_cam: float,
         except InvariantViolation:
             statuses[lane.id] = "folded"
     return FrameSolve(lanes=lanes, statuses=statuses, clamped=clamped,
-                      z_by_lane=z_by_lane, traces=traces)
+                      z_by_lane=z_by_lane, traces=traces, stops=stops)
 
 
 def write_trace_csv(trace, path) -> None:

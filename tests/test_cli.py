@@ -10,7 +10,8 @@ import pytest
 
 import lane3d
 from lane3d.cli import main
-from lane3d.model import read_scenes, write_scenes
+from lane3d.model import (Lane2D, read_flat_frames, read_scenes, write_flat_frames,
+                          write_scenes)
 
 CONFIGS = "configs"
 
@@ -129,6 +130,31 @@ def test_reconstruct_trace_csv(tmp_path):
     assert first.startswith("0,")
 
 
+def test_reconstruct_prints_stop_histogram(tmp_path, capsys):
+    scenes, flat, rec = (tmp_path / f"{name}.jsonl" for name in ("scenes", "flat", "rec"))
+    run(["generate", "--count", 6, "--seed", 42, "--out", scenes])
+    run(["project", "--in", scenes, "--out", flat])
+    # noise on half of the frames makes their pairs descend
+    frames = read_flat_frames(flat)
+    rng = np.random.default_rng(16)
+    for frame in frames[::2]:
+        frame.lanes = [Lane2D(id=lane.id, visibility=lane.visibility,
+                              points=lane.points + rng.normal(0.0, 0.05, lane.points.shape))
+                       for lane in frame.lanes]
+    write_flat_frames(frames, flat)
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps({"trace_dir": str(tmp_path / "traces")}))
+    capsys.readouterr()
+    assert run(["reconstruct", "--in", flat, "--config", cfg, "--out", rec]) == 0
+    (line,) = [ln for ln in capsys.readouterr().err.splitlines()
+               if ln.startswith("solver stops: ")]
+    counts = dict(item.split("=") for item in line.split()[2:])
+    assert list(counts) == ["no_descent", "tol", "step", "max_iters"]
+    solved = len(list((tmp_path / "traces").glob("*.csv")))
+    assert sum(map(int, counts.values())) == solved > 0
+    assert int(counts["no_descent"]) > 0 and int(counts["step"]) > 0
+
+
 @pytest.mark.parametrize("frame_id", ["../escaped", "nested/escaped", "nul\0escaped"])
 def test_frame_id_that_is_not_a_plain_name_exit_2(tmp_path, frame_id):
     work = tmp_path / "work"
@@ -186,6 +212,12 @@ def test_misspelled_config_key_exit_2(tmp_path, capsys):
         assert run(["reconstruct", "--in", flat, "--config", rec,
                     "--out", tmp_path / "rec.jsonl"]) == 2
         assert message in capsys.readouterr().err
+    # a camera height override must be a finite positive number
+    for h_cam in ["inf", "nan", "-1", "0"]:
+        out = tmp_path / f"rec_{h_cam}.jsonl"
+        assert run(["reconstruct", "--in", flat, "--h-cam", h_cam, "--out", out]) == 2
+        assert "height_m must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_evaluate_runs_without_scipy(tmp_path):
@@ -276,7 +308,7 @@ def test_plot_overlay_two_series(tmp_path):
     assert len(colors) == 2
 
 
-def test_plot_report_chart(tmp_path):
+def test_plot_report_chart(tmp_path, capsys):
     scenes = tmp_path / "scenes.jsonl"
     report = tmp_path / "report.json"
     run(["generate", "--count", 2, "--seed", 11, "--out", scenes])
@@ -284,10 +316,20 @@ def test_plot_report_chart(tmp_path):
     out_dir = tmp_path / "figs"
     assert run(["plot", "--in", report, "--out", out_dir]) == 0
     ET.parse(out_dir / "report.svg")
+    # a malformed report is a data error naming the file, not a traceback
+    doc = json.loads(report.read_text())
+    bad = tmp_path / "bad.json"
+    for broken in [{"per_frame": []}, {**doc, "f_score": "0.9"}, {**doc, "pr_curve": [5]},
+                   {**doc, "per_frame": [{"frame_id": "f", "tp": 1.5}]}]:
+        bad.write_text(json.dumps(broken))
+        capsys.readouterr()
+        assert run(["plot", "--in", bad, "--out", out_dir]) == 2
+        assert "bad.json" in capsys.readouterr().err
 
 
 def test_usage_error_exit_1():
     assert run(["generate", "--count", "not-a-number", "--out", "x"]) == 1
+    assert run(["generate", "--count", -5, "--out", "x"]) == 1
     assert run(["no-such-command"]) == 1
 
 

@@ -126,6 +126,12 @@ def test_read_hand_written_minimal_line(tmp_path):
     path.write_text(line.replace('"width_px":1920', '"width_px":1920.0') + "\n")
     (same,) = read_scenes(path)
     assert same == scene and type(same.camera.intrinsics.width_px) is int
+    # lane points read as np.asarray reads the nested lists, bit for bit
+    rows = [[-0.0, 1.0, 5e-324], [7, 2.0, -1e300], [0.1, 3.0, 1.7976931348623157e308]]
+    path.write_text(line.replace("[[0.0,1.0,0.0],[0.5,2.0,0.1],[1.0,3.0,0.2]]",
+                                 json.dumps(rows)) + "\n")
+    (odd,) = read_scenes(path)
+    assert odd.lanes[0].points.tobytes() == np.asarray(rows, dtype=float).tobytes()
 
 
 def test_read_reports_line_number_on_bad_json(tmp_path, simple_scene):
@@ -145,6 +151,21 @@ def test_read_rejects_non_monotone_lane_naming_it(tmp_path, simple_scene):
     path.write_text(json.dumps(doc) + "\n")
     with pytest.raises(InvariantViolation, match="left"):
         read_scenes(path)
+    # ragged, missing, short and non-numeric rows name the lane too
+    for rows, message in [([[0.0, 1.0, 0.0], [0.0, 2.0]], r"\(N, 3\)"),
+                          ([[0.0, 1.0, 0.0], None], r"\(N, 3\)"),
+                          ([[0.0, 1.0], [0.0, 2.0]], r"\(N, 3\)"),
+                          ([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0, 0.0]], r"\(N, 3\)"),
+                          ([[0.0, 1.0, 0.0], "123"], r"\(N, 3\)"),
+                          (5, "finite numbers"),
+                          ([[0.0, 1.0, None]], "finite"),
+                          ([[0.0, 1.0, [0.0]]], "finite numbers"),
+                          ([[0.0, 1.0, "x"]], "finite numbers"),
+                          ([[0.0, 1.0, 10 ** 400]], "finite numbers")]:
+        doc["lanes"][0]["points"] = rows
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(InvariantViolation, match=f"bad.jsonl:1: lane 'left': .*{message}"):
+            read_scenes(path)
 
 
 def test_empty_write_and_read(tmp_path):

@@ -214,9 +214,10 @@ def test_closed_form_heights_vectorized():
     assert np.allclose(z, [0.0, 0.89, -1.78], atol=1e-12)
 
 
-def sequential_halving_solve(left, right, h_cam, opts=SolveOptions()):
+def sequential_halving_solve(left, right, h_cam, opts=SolveOptions(), step_rule=True):
     """Reference descent: one objective call per trial step, halving the
-    step until J does not increase, at most 20 times."""
+    step until J does not increase, at most 20 times; with step_rule, it
+    stops after an accepted step that moves no height by 1e-5 m."""
     ctx, z = prepare_pair(left, right, h_cam, opts)
     value, grad = pair_objective(z, ctx)
     step = opts.step
@@ -234,9 +235,12 @@ def sequential_halving_solve(left, right, h_cam, opts=SolveOptions()):
         if trial_value > value:
             break
         improvement = value - trial_value
+        moved = np.max(np.abs(trial - z))
         z, value, grad = trial, trial_value, trial_grad
         iters = it
         trace.append((it, value, step))
+        if step_rule and moved < 1e-5:
+            break
         if improvement < opts.tol:
             break
         if halvings == 0:
@@ -298,3 +302,49 @@ def test_noise_free_pair_makes_three_objective_calls(monkeypatch):
     assert res.iters == 0
     n = len(left) + len(right)
     assert calls == [(n,), (n,), (20, n)]
+
+
+# (spec, noise seed, options, expected stop): each reason from one pair
+STOP_CASES = [(DENSE_HILL_SPEC, None, SolveOptions(), "no_descent"),
+              (HILL_SPEC, 65, SolveOptions(tol=1e3), "tol"),
+              (HILL_SPEC, 65, SolveOptions(), "step"),
+              # both rules end this descent's 7th step; the step rule reports
+              (HILL_SPEC, None, SolveOptions(tol=1e-5), "step"),
+              (HILL_SPEC, 65, SolveOptions(max_iters=3), "max_iters")]
+
+
+@pytest.mark.parametrize("spec, noise_seed, opts, stop", STOP_CASES)
+def test_stop_reason_of_constructed_pairs(spec, noise_seed, opts, stop):
+    rng = None if noise_seed is None else np.random.default_rng(noise_seed)
+    left, right = project_scene(generate_scene(spec, seed=7), noise_rng=rng)
+    res = solve_boundary_pair(left, right, H_CAM, opts)
+    assert res.stop == stop
+    if stop == "step":
+        assert 1 < res.iters < opts.max_iters
+    else:
+        assert res.iters == {"no_descent": 0, "tol": 1, "max_iters": opts.max_iters}[stop]
+
+
+def test_step_rule_stops_noisy_pair_near_the_descent_without_it():
+    # without the rule this pair crawls to max_iters, each step lowering J
+    left, right = project_scene(generate_scene(HILL_SPEC, seed=7),
+                                noise_rng=np.random.default_rng(65))
+    iters, _, _, z_full = sequential_halving_solve(left, right, H_CAM, step_rule=False)
+    assert iters == SolveOptions().max_iters
+    res = solve_boundary_pair(left, right, H_CAM)
+    assert res.stop == "step" and res.iters < iters // 2
+    z = np.concatenate([res.z_left, res.z_right])
+    assert np.max(np.abs(z - z_full)) < 5e-3
+
+
+def test_frame_lists_one_stop_per_solved_pair():
+    spec = dataclasses.replace(DENSE_HILL_SPEC, num_boundaries=4)
+    lanes = project_scene(generate_scene(spec, seed=8))
+    noisy = project_scene(generate_scene(spec, seed=8), noise_rng=np.random.default_rng(66))
+    lanes[0] = noisy[0]
+    res = solve_frame(lanes, H_CAM)
+    assert res.stops == ["step", "no_descent", "no_descent"]
+    assert len(res.traces) == len(res.stops)
+    for k, (a, b) in enumerate(zip(lanes, lanes[1:])):
+        pair = solve_boundary_pair(a, b, H_CAM)
+        assert res.stops[k] == pair.stop and res.traces[k] == pair.trace
