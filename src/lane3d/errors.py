@@ -18,16 +18,8 @@ class HeightExceedsCamera(Lane3DError):
     plane in front of the camera, so the virtual top view is undefined."""
 
 
-class DegeneratePose(Lane3DError):
-    """Camera pose for which the ground-plane homography degenerates."""
-
-
 class DegeneratePair(Lane3DError):
     """Flat-ground point pair too close to carry width information."""
-
-
-class MismatchedAnchors(Lane3DError):
-    """Anchor sets with different y-reference grids cannot be compared."""
 
 
 class InvalidInput(Lane3DError):
@@ -36,10 +28,6 @@ class InvalidInput(Lane3DError):
 
 class SpecError(Lane3DError):
     """Road specification violates one of its invariants."""
-
-
-class OutOfRange(Lane3DError):
-    """Lane does not cover the required y position."""
 
 
 class NoPairing(Lane3DError):

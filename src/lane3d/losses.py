@@ -1,4 +1,4 @@
-"""Distance definitions and loss functions on lane pairs and anchors.
+"""Width distances and the geometry-prior loss on lane pairs.
 
 Width distances follow the flat-ground derivation: D_3D is the plain 3D
 Euclidean pair distance, and D_2D is the flat-ground distance of the two
@@ -13,31 +13,13 @@ nothing, steps and kinks are charged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, MismatchedAnchors
-from .model import AnchorSet, Lane3D, PairMap, Point3D
-from .projection import project_virtual_top
-
-BCE_EPS = 1e-7
-
-
-def dist3d(a: Point3D, b: Point3D) -> float:
-    """Euclidean distance between two ego-frame points."""
-    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
-
-
-def dist2d_weighted(a: Point3D, b: Point3D, h_cam: float) -> float:
-    """Flat-ground distance of the virtual top-view projections of a and b,
-    weighted by (h_cam - z_mean). Requires both heights below the camera."""
-    pa = project_virtual_top(a, h_cam)
-    pb = project_virtual_top(b, h_cam)
-    z_mean = 0.5 * (a.z + b.z)
-    flat = math.hypot(pa.x - pb.x, pa.y - pb.y)
-    return flat * (h_cam - z_mean)
+from .errors import InvalidInput
+from .model import Lane3D, PairMap
+from .projection import project_virtual_top_xy
 
 
 @dataclass(eq=False)
@@ -62,7 +44,8 @@ class WidthSeries:
 
 
 def width_series(left: Lane3D, right: Lane3D, pairs: PairMap, h_cam: float) -> WidthSeries:
-    """Evaluate D_3D and D_2D for every matched pair, in key order."""
+    """Evaluate D_3D and D_2D for every matched pair, in key order. Raises
+    HeightExceedsCamera when a matched point has z >= h_cam."""
     by_id = {left.id: left, right.id: right}
     if pairs.source_id not in by_id or pairs.target_id not in by_id:
         raise InvalidInput(
@@ -70,13 +53,14 @@ def width_series(left: Lane3D, right: Lane3D, pairs: PairMap, h_cam: float) -> W
             f"got lanes '{left.id}' and '{right.id}'")
     src = by_id[pairs.source_id]
     tgt = by_id[pairs.target_id]
-    d3, d2, mask = [], [], []
-    for i, j in pairs.items_sorted():
-        a, b = src.point(i), tgt.point(j)
-        d3.append(dist3d(a, b))
-        d2.append(dist2d_weighted(a, b, h_cam))
-        mask.append(int(src.visibility[i] and tgt.visibility[j]))
-    return WidthSeries(d3=np.array(d3), d2=np.array(d2), mask=np.array(mask, dtype=int))
+    i, j = np.array(pairs.items_sorted(), dtype=int).reshape(-1, 2).T
+    a, b = src.points[i], tgt.points[j]
+    flat = (project_virtual_top_xy(a[:, :2], a[:, 2], h_cam)
+            - project_virtual_top_xy(b[:, :2], b[:, 2], h_cam))
+    z_mean = 0.5 * (a[:, 2] + b[:, 2])
+    return WidthSeries(d3=np.linalg.norm(a - b, axis=1),
+                       d2=np.hypot(flat[:, 0], flat[:, 1]) * (h_cam - z_mean),
+                       mask=src.visibility[i] & tgt.visibility[j])
 
 
 def second_difference_l1(values: np.ndarray, mask: np.ndarray | None = None,
@@ -109,49 +93,6 @@ def geo_prior_loss(series: WidthSeries, prob: float) -> float:
     of both width series over the visible span. Zero for fewer than 3 pairs."""
     return (second_difference_l1(series.d2, series.mask, prob)[0]
             + second_difference_l1(series.d3, series.mask, prob)[0])
-
-
-def anchor_loss(pred: AnchorSet, gt: AnchorSet) -> float:
-    """Anchor regression loss: probability cross-entropy, visibility-masked
-    L1 on x and z, and probability-masked L1 on visibility.
-
-    Log arguments are floored at 1e-7, so exact {0, 1} probabilities still
-    give an exactly zero cross-entropy term.
-    """
-    if not np.array_equal(pred.y_refs, gt.y_refs):
-        raise MismatchedAnchors("prediction and ground truth use different y_refs")
-    if len(pred.anchors) != len(gt.anchors):
-        raise MismatchedAnchors(
-            f"anchor count mismatch: {len(pred.anchors)} vs {len(gt.anchors)}")
-    total = 0.0
-    for a, g in zip(pred.anchors, gt.anchors):
-        p, p_hat = a.prob, g.prob
-        total -= p_hat * math.log(max(p, BCE_EPS)) \
-            + (1.0 - p_hat) * math.log(max(1.0 - p, BCE_EPS))
-        total += p_hat * float(np.sum(g.vis * np.abs(a.x_offsets - g.x_offsets)))
-        total += p_hat * float(np.sum(g.vis * np.abs(a.z - g.z)))
-        total += p_hat * float(np.sum(np.abs(a.vis - g.vis)))
-    return total
-
-
-def cam_loss(pred_pitch: float, pred_h: float, gt_pitch: float, gt_h: float) -> float:
-    """L1 error on camera pitch and height."""
-    return abs(pred_pitch - gt_pitch) + abs(pred_h - gt_h)
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    lambda_geo: float = 1e-2
-    lambda_cam: float = 1e2
-
-    def __post_init__(self):
-        if self.lambda_geo < 0 or self.lambda_cam < 0:
-            raise InvalidInput("loss weights must be nonnegative")
-
-
-def total_rec_loss(anchor: float, geo: float, w: LossWeights) -> float:
-    """Reconstruction loss: anchor term plus weighted geometry prior."""
-    return anchor + w.lambda_geo * geo
 
 
 def lifted_width(left_flat: np.ndarray, right_flat: np.ndarray, zl: np.ndarray,

@@ -73,37 +73,6 @@ def _coerce(name: str, default, value):
 
 
 @dataclass(frozen=True)
-class Point3D:
-    """Ego-frame point in meters."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            _require(math.isfinite(getattr(self, name)), f"Point3D.{name} must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=float)
-
-
-@dataclass(frozen=True)
-class Point2D:
-    """Flat-ground point in meters."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        for name in ("x", "y"):
-            _require(math.isfinite(getattr(self, name)), f"Point2D.{name} must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
-
-@dataclass(frozen=True)
 class Intrinsics:
     fx: float
     fy: float
@@ -165,7 +134,7 @@ def _check_monotone_y(y: np.ndarray, lane_id: str) -> None:
 @dataclass(eq=False)
 class _Lane:
     """An ordered boundary polyline with visibility flags; subclasses fix the
-    point type."""
+    point dimension."""
 
     id: str
     points: np.ndarray       # (N, _dim) float
@@ -188,14 +157,11 @@ class _Lane:
                 and np.array_equal(self.points, other.points)
                 and np.array_equal(self.visibility, other.visibility))
 
-    def point(self, i: int):
-        return self._point(*self.points[i])
-
 
 class Lane3D(_Lane):
     """One lane boundary as an ordered 3D polyline with visibility flags."""
 
-    _point, _dim = Point3D, 3
+    _dim = 3
 
     @property
     def xy(self) -> np.ndarray:
@@ -209,7 +175,7 @@ class Lane3D(_Lane):
 class Lane2D(_Lane):
     """One lane boundary on the flat ground plane."""
 
-    _point, _dim = Point2D, 2
+    _dim = 2
 
 
 def _check_metadata(metadata: dict, owner: str) -> None:
@@ -240,62 +206,6 @@ class Scene:
                 and self.metadata == other.metadata)
 
 
-@dataclass(eq=False)
-class Anchor:
-    """Column-anchor encoding of one lane: per y-reference, a lateral offset
-    on the flat ground, a height, and a visibility value, plus one lane
-    probability."""
-
-    id: str
-    x_offsets: np.ndarray   # (R,) meters, flat ground
-    z: np.ndarray           # (R,) meters
-    vis: np.ndarray         # (R,) in [0, 1]
-    prob: float             # in [0, 1]
-
-    def __post_init__(self):
-        _require(bool(self.id), "anchor id must be nonempty")
-        self.x_offsets = np.asarray(self.x_offsets, dtype=float)
-        self.z = np.asarray(self.z, dtype=float)
-        self.vis = np.asarray(self.vis, dtype=float)
-        n = len(self.x_offsets)
-        _require(self.z.shape == (n,) and self.vis.shape == (n,),
-                 f"anchor '{self.id}': per-ref lists must share one length")
-        _require(bool(np.all(np.isfinite(self.x_offsets)) and np.all(np.isfinite(self.z))),
-                 f"anchor '{self.id}': values must be finite")
-        _require(bool(np.all((self.vis >= 0) & (self.vis <= 1))),
-                 f"anchor '{self.id}': vis must be within [0, 1]")
-        _require(0.0 <= self.prob <= 1.0, f"anchor '{self.id}': prob must be within [0, 1]")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Anchor) and self.id == other.id
-                and np.array_equal(self.x_offsets, other.x_offsets)
-                and np.array_equal(self.z, other.z)
-                and np.array_equal(self.vis, other.vis)
-                and self.prob == other.prob)
-
-
-@dataclass(eq=False)
-class AnchorSet:
-    """Anchors for all lanes of one frame over a shared y-reference grid."""
-
-    y_refs: np.ndarray      # (R,) strictly increasing
-    anchors: list[Anchor]
-
-    def __post_init__(self):
-        self.y_refs = np.asarray(self.y_refs, dtype=float)
-        _require(self.y_refs.ndim == 1 and len(self.y_refs) >= 1,
-                 "y_refs must be a nonempty 1D list")
-        _require(bool(np.all(np.diff(self.y_refs) > 0)), "y_refs must be strictly increasing")
-        for a in self.anchors:
-            _require(len(a.x_offsets) == len(self.y_refs),
-                     f"anchor '{a.id}': per-ref lists must match y_refs length")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AnchorSet)
-                and np.array_equal(self.y_refs, other.y_refs)
-                and self.anchors == other.anchors)
-
-
 @dataclass
 class PairMap:
     """Matched point indices between two lane boundaries, keyed on the
@@ -320,41 +230,13 @@ class PairMap:
 
 
 @dataclass(eq=False)
-class TopViewMask:
-    """Rasterized lane-boundary occupancy grid on the flat ground plane."""
-
-    grid: np.ndarray          # (H, W) values in {0, 1}
-    meters_per_cell: float
-    origin: Point2D           # ground position of cell (ix=0, iy=0)
-    thickness_cells: int
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=np.uint8)
-        _require(self.grid.ndim == 2 and self.grid.shape[0] > 0 and self.grid.shape[1] > 0,
-                 "mask grid must be 2D and nonempty")
-        _require(bool(np.all((self.grid == 0) | (self.grid == 1))),
-                 "mask cells must be 0 or 1")
-        _require(self.meters_per_cell > 0, "meters_per_cell must be positive")
-        _require(self.thickness_cells >= 1, "thickness_cells must be a positive integer")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TopViewMask)
-                and np.array_equal(self.grid, other.grid)
-                and self.meters_per_cell == other.meters_per_cell
-                and self.origin == other.origin
-                and self.thickness_cells == other.thickness_cells)
-
-
-@dataclass(eq=False)
 class Prediction:
-    """Predicted lanes for one frame: per-lane probability, optional anchor
-    blocks mirroring AnchorSet."""
+    """Predicted lanes for one frame, each with a probability."""
 
     frame_id: str
     camera: CameraPose
     lanes: list[Lane3D]
     probs: list[float]
-    anchors: AnchorSet | None = None
 
     def __post_init__(self):
         _require(bool(self.frame_id), "frame_id must be nonempty")
@@ -366,7 +248,7 @@ class Prediction:
     def __eq__(self, other) -> bool:
         return (isinstance(other, Prediction) and self.frame_id == other.frame_id
                 and self.camera == other.camera and self.lanes == other.lanes
-                and self.probs == other.probs and self.anchors == other.anchors)
+                and self.probs == other.probs)
 
 
 @dataclass(eq=False)
@@ -429,18 +311,27 @@ def _lane_to_dict(lane: _Lane) -> dict:
     }
 
 
+_NUMBER_TYPES = {int, float}   # what JSON numbers parse to; bool is not one
+
+
 def _lane_from_dict(cls, d: dict) -> _Lane:
     """A lane from its JSON form. The rows go through one np.fromiter, which
     takes under half the time np.asarray takes on nested lists but does not
-    see their shape, so the row shape is checked here first."""
-    lane_id, rows, dim = d["id"], d["points"], cls._dim
+    see their shape, so the row shape is checked here first. Both would read
+    a string or a boolean as a number, so the value types are checked too."""
+    lane_id, rows, vis, dim = d["id"], d["points"], d["visibility"], cls._dim
     try:
         _require(set(map(type, rows)) <= {list} and set(map(len, rows)) <= {dim},
                  f"lane '{lane_id}': points must be (N, {dim})")
-        points = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * dim)
-    except (TypeError, ValueError, OverflowError) as e:
+        values = list(itertools.chain.from_iterable(rows))
+        _require(set(map(type, values)) <= _NUMBER_TYPES,
+                 f"lane '{lane_id}': points must be finite numbers")
+        points = np.fromiter(values, float, len(values))
+    except (TypeError, OverflowError) as e:
         raise InvariantViolation(f"lane '{lane_id}': points must be finite numbers") from e
-    return cls(id=lane_id, points=points.reshape(-1, dim), visibility=d["visibility"])
+    _require(not isinstance(vis, list) or set(map(type, vis)) <= _NUMBER_TYPES,
+             f"lane '{lane_id}': visibility flags must be 0 or 1")
+    return cls(id=lane_id, points=points.reshape(-1, dim), visibility=vis)
 
 
 def scene_to_dict(scene: Scene) -> dict:
@@ -461,31 +352,8 @@ def scene_from_dict(d: dict) -> Scene:
     )
 
 
-def _anchor_set_to_dict(aset: AnchorSet) -> dict:
-    return {
-        "y_refs": [float(y) for y in aset.y_refs],
-        "anchors": [
-            {
-                "id": a.id,
-                "x_offsets": [float(v) for v in a.x_offsets],
-                "z": [float(v) for v in a.z],
-                "vis": [float(v) for v in a.vis],
-                "prob": float(a.prob),
-            }
-            for a in aset.anchors
-        ],
-    }
-
-
-def _anchor_set_from_dict(d: dict) -> AnchorSet:
-    anchors = [Anchor(id=a["id"], x_offsets=a["x_offsets"], z=a["z"],
-                      vis=a["vis"], prob=_coerce(f"anchor {a['id']!r} prob", 0.0, a["prob"]))
-               for a in d["anchors"]]
-    return AnchorSet(y_refs=d["y_refs"], anchors=anchors)
-
-
 def prediction_to_dict(pred: Prediction) -> dict:
-    out = {
+    return {
         "frame_id": pred.frame_id,
         "camera": camera_to_dict(pred.camera),
         "lanes": [
@@ -493,18 +361,14 @@ def prediction_to_dict(pred: Prediction) -> dict:
             for lane, p in zip(pred.lanes, pred.probs)
         ],
     }
-    if pred.anchors is not None:
-        out["anchors"] = _anchor_set_to_dict(pred.anchors)
-    return out
 
 
 def prediction_from_dict(d: dict) -> Prediction:
     lanes = [_lane_from_dict(Lane3D, ld) for ld in d["lanes"]]
     probs = [_coerce(f"lane {ld['id']!r} prob", 0.0, ld.get("prob", 1.0))
              for ld in d["lanes"]]
-    anchors = _anchor_set_from_dict(d["anchors"]) if "anchors" in d else None
     return Prediction(frame_id=d["frame_id"], camera=camera_from_dict(d["camera"]),
-                      lanes=lanes, probs=probs, anchors=anchors)
+                      lanes=lanes, probs=probs)
 
 
 def flat_frame_to_dict(frame: FlatFrame) -> dict:
@@ -521,8 +385,13 @@ def flat_frame_from_dict(d: dict) -> FlatFrame:
                      lanes=lanes)
 
 
+# Every record is a fresh tree built by a *_to_dict function, so the
+# encoder skips the cycle bookkeeping it would do per container.
+_CANONICAL = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False)
+
+
 def dumps_canonical(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+    return _CANONICAL.encode(obj)
 
 
 def _read_jsonl(path, from_dict):

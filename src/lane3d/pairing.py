@@ -98,15 +98,3 @@ def match_point_pairs(l1: Lane2D | Lane3D, l2: Lane2D | Lane3D,
 
     return PairMap(pairs=dict(sorted(pairs.items())), source_id=l1.id, target_id=l2.id)
 
-
-def adjacent_index_pairs(l1: Lane3D, l2: Lane3D) -> PairMap:
-    """Anchor-index pairing: each point i of l1 pairs with the closest of
-    l2's indices {i-1, i, i+1}; no rejection logic. Both lanes must share an
-    anchor-index domain for this to be meaningful."""
-    if len(l1) == 0 or len(l2) == 0:
-        raise InvalidInput("cannot pair empty lanes")
-    pts1, pts2 = l1.points.tolist(), l2.points.tolist()
-    n2 = len(pts2)
-    pairs = {i: _windowed_argmin(pts1[i], pts2, max(0, i - 1), min(n2 - 1, i + 1))[0]
-             for i in range(min(len(pts1), n2 + 1))}
-    return PairMap(pairs=pairs, source_id=l1.id, target_id=l2.id)

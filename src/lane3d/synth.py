@@ -1,4 +1,4 @@
-"""Synthetic road scenes, anchor encoding/decoding and top-view GT masks.
+"""Synthetic road scenes.
 
 Roads are parametric: a polynomial centerline x(y), a height profile z(y)
 (polynomial or a raised-cosine hill), and boundaries laid out as true
@@ -10,21 +10,14 @@ constant-width prior holds on these scenes to rounding error.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HeightExceedsCamera, InvalidInput, OutOfRange, SpecError
-from .model import (Anchor, AnchorSet, CameraPose, Intrinsics, Lane3D, Point2D,
-                    Scene, TopViewMask, camera_from_dict)
-from .projection import (compute_visibility, lift_from_virtual_top_xy,
-                         project_virtual_top_xy, resample_flat)
-
-# Anchor y-reference grid of the reference dataset protocol.
-DEFAULT_Y_REFS = (5.0, 10.0, 15.0, 20.0, 30.0, 40.0, 50.0, 60.0, 80.0, 100.0)
-DEFAULT_Y_ASSOC = 5.0
+from .errors import InvalidInput, SpecError
+from .model import CameraPose, Intrinsics, Lane3D, Scene, camera_from_dict
+from .projection import compute_visibility
 
 
 @dataclass(frozen=True)
@@ -119,146 +112,6 @@ def generate_scene(spec: RoadSpec, seed: int = 0, frame_id: str | None = None) -
                             visibility=compute_visibility(pts, spec.camera)))
     return Scene(frame_id=frame_id or f"synth_{seed:06d}", camera=spec.camera,
                  lanes=lanes, metadata={"generator": "parametric_road", "seed": str(seed)})
-
-
-@dataclass(frozen=True)
-class AnchorConfig:
-    y_refs: tuple = DEFAULT_Y_REFS
-    y_assoc: float = DEFAULT_Y_ASSOC   # reference at which a lane must exist
-
-    def __post_init__(self):
-        refs = np.asarray(self.y_refs, dtype=float)
-        if not np.all(np.diff(refs) > 0):
-            raise SpecError("y_refs must be strictly increasing")
-        if not np.any(np.isclose(refs, self.y_assoc)):
-            raise SpecError("y_assoc must be one of the y_refs")
-
-
-DEFAULT_ANCHORS = AnchorConfig()
-
-
-def encode_anchors(scene: Scene, cfg: AnchorConfig = DEFAULT_ANCHORS) -> AnchorSet:
-    """Project each lane to the flat ground and resample it at the anchor
-    y-references (linear interpolation in flat-ground y); visibility is
-    interpolated then thresholded at 0.5, probability is 1 for ground truth."""
-    h = scene.camera.height_m
-    refs = np.asarray(cfg.y_refs, dtype=float)
-    anchors = []
-    for lane in scene.lanes:
-        x_ref, z_ref, vis = resample_flat(lane, h, refs)
-        fy0, fy1 = project_virtual_top_xy(lane.xy[[0, -1]], lane.z[[0, -1]], h)[:, 1]
-        if not fy0 <= cfg.y_assoc <= fy1:
-            raise OutOfRange(
-                f"lane '{lane.id}' spans flat y [{fy0:.2f}, {fy1:.2f}] "
-                f"and misses the association reference {cfg.y_assoc}")
-        anchors.append(Anchor(id=lane.id, x_offsets=x_ref, z=z_ref,
-                              vis=vis.astype(float), prob=1.0))
-    return AnchorSet(y_refs=refs, anchors=anchors)
-
-
-def decode_anchors(aset: AnchorSet, h_cam: float, prob_threshold: float = 0.5) -> list[Lane3D]:
-    """Turn anchors back into 3D lanes: keep anchors with prob >= threshold,
-    lift the visible references from the flat ground at their heights."""
-    lanes = []
-    for a in aset.anchors:
-        if a.prob < prob_threshold:
-            continue
-        sel = a.vis >= 0.5
-        if not np.any(sel):
-            continue
-        if np.any(a.z[sel] >= h_cam):
-            raise HeightExceedsCamera(
-                f"anchor '{a.id}' has z >= camera height {h_cam}")
-        flat = np.column_stack([a.x_offsets[sel], aset.y_refs[sel]])
-        pts = lift_from_virtual_top_xy(flat, a.z[sel], h_cam)
-        lanes.append(Lane3D(id=a.id, points=pts,
-                            visibility=np.ones(int(np.sum(sel)), dtype=int)))
-    return lanes
-
-
-@dataclass(frozen=True)
-class MaskGeometry:
-    width_cells: int
-    height_cells: int
-    meters_per_cell: float
-    origin: Point2D              # ground position of cell (0, 0)
-    thickness_cells: int = 1
-
-    def __post_init__(self):
-        if self.width_cells <= 0 or self.height_cells <= 0:
-            raise SpecError("mask grid must be nonempty")
-        if self.meters_per_cell <= 0:
-            raise SpecError("meters_per_cell must be positive")
-        if self.thickness_cells < 1:
-            raise SpecError("thickness_cells must be a positive integer")
-
-
-def _bresenham(ix0: int, iy0: int, ix1: int, iy1: int):
-    """Integer line rasterization between two cells, inclusive."""
-    dx = abs(ix1 - ix0)
-    dy = -abs(iy1 - iy0)
-    sx = 1 if ix0 < ix1 else -1
-    sy = 1 if iy0 < iy1 else -1
-    err = dx + dy
-    x, y = ix0, iy0
-    while True:
-        yield x, y
-        if x == ix1 and y == iy1:
-            return
-        e2 = 2 * err
-        if e2 >= dy:
-            err += dy
-            x += sx
-        if e2 <= dx:
-            err += dx
-            y += sy
-
-
-def rasterize_top_mask(scene: Scene, geometry: MaskGeometry) -> TopViewMask:
-    """Draw every lane's virtual top-view polyline into an occupancy grid
-    with constant thickness; cells outside the grid are clipped."""
-    h = scene.camera.height_m
-    grid = np.zeros((geometry.height_cells, geometry.width_cells), dtype=np.uint8)
-    t = geometry.thickness_cells
-    half = t // 2
-    stamps = [(dx, dy) for dx in range(-half, t - half) for dy in range(-half, t - half)]
-
-    def stamp(ix: int, iy: int) -> None:
-        for dx, dy in stamps:
-            cx, cy = ix + dx, iy + dy
-            if 0 <= cx < geometry.width_cells and 0 <= cy < geometry.height_cells:
-                grid[cy, cx] = 1
-
-    for lane in scene.lanes:
-        flat = project_virtual_top_xy(lane.xy, lane.z, h)
-        cells = np.rint((flat - np.array([geometry.origin.x, geometry.origin.y]))
-                        / geometry.meters_per_cell).astype(int)
-        for (ax, ay), (bx, by) in zip(cells[:-1], cells[1:]):
-            for ix, iy in _bresenham(ax, ay, bx, by):
-                stamp(ix, iy)
-        if len(cells) == 1:
-            stamp(*cells[0])
-    return TopViewMask(grid=grid, meters_per_cell=geometry.meters_per_cell,
-                       origin=geometry.origin, thickness_cells=t)
-
-
-def write_mask_pgm(mask: TopViewMask, path) -> None:
-    """Write the mask as binary PGM (P5, occupied = 255) plus a JSON sidecar
-    with the grid geometry at <path>.json."""
-    height, width = mask.grid.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write((mask.grid * 255).astype(np.uint8).tobytes())
-    sidecar = {
-        "width_cells": int(width),
-        "height_cells": int(height),
-        "meters_per_cell": float(mask.meters_per_cell),
-        "origin": [float(mask.origin.x), float(mask.origin.y)],
-        "thickness_cells": int(mask.thickness_cells),
-    }
-    with open(f"{path}.json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ import pytest
 from lane3d.augment import (AugmentConfig, augment_scene, composed_rotation,
                             draw_angles, rot_x, rot_y, rot_z, rotate_scene)
 from lane3d.errors import InvalidInput
-from lane3d.losses import dist3d
 from lane3d.model import Scene
 
 from conftest import straight_lane
@@ -71,12 +70,9 @@ def test_rotation_is_isometry(simple_scene):
     cfg = AugmentConfig(p_pitch=1.0, p_roll=1.0, p_yaw=1.0, seed=11)
     out = augment_scene(simple_scene, cfg)
     for before, after in zip(simple_scene.lanes, out.lanes):
-        n = len(before)
-        for i in range(0, n, 3):
-            for j in range(i + 1, n, 5):
-                d0 = dist3d(before.point(i), before.point(j))
-                d1 = dist3d(after.point(i), after.point(j))
-                assert d1 == pytest.approx(d0, abs=1e-9)
+        d0 = np.linalg.norm(before.points[:, None] - before.points[None], axis=2)
+        d1 = np.linalg.norm(after.points[:, None] - after.points[None], axis=2)
+        assert np.allclose(d1, d0, rtol=0, atol=1e-9)
 
 
 def test_pure_yaw_preserves_height(pose):

@@ -7,10 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lane3d
 from lane3d.cli import main
-from lane3d.model import (Lane2D, read_flat_frames, read_scenes, write_flat_frames,
+from lane3d.model import (CameraPose, Intrinsics, Lane2D, Lane3D, Scene,
+                          read_flat_frames, read_scenes, write_flat_frames,
                           write_scenes)
 
 CONFIGS = "configs"
@@ -98,6 +101,53 @@ def test_project_then_reconstruct_flat(tmp_path):
             assert np.max(np.abs(lane.points[:, 2])) < 1e-6
         assert all(v == "ok" for k, v in scene.metadata.items()
                    if k.startswith("solver_status:"))
+
+
+EDGE_CASES = ("one_point", "no_lanes", "coincident", "huge", "below_camera", "negative_y")
+
+
+@st.composite
+def edge_scenes(draw):
+    """Frames of two straight boundaries, each bent by one edge case."""
+    pose = CameraPose(height_m=1.78, pitch_rad=0.0,
+                      intrinsics=Intrinsics(1000.0, 1000.0, 960.0, 540.0, 1920, 1080))
+    scenes = []
+    for k, case in enumerate(draw(st.lists(st.sampled_from(EDGE_CASES), min_size=1, max_size=3))):
+        n = 1 if case == "one_point" else draw(st.integers(2, 6))
+        x = draw(st.floats(-3.0, 3.0))
+        width = 0.0 if case == "coincident" else draw(st.floats(2.5, 4.5))
+        pts = np.column_stack([np.full(n, x), 5.0 + 4.0 * np.arange(n), np.zeros(n)])
+        if case == "huge":   # one coordinate column at +-1e300; z only below the camera
+            axis = draw(st.integers(0, 2))
+            sign = -1.0 if axis == 2 else draw(st.sampled_from([-1.0, 1.0]))
+            pts[:, axis] = np.linspace(-1e300, 1e300, n) if axis == 1 else sign * 1e300
+        elif case == "below_camera":
+            pts[:, 2] = pose.height_m - 1e-9
+        elif case == "negative_y":
+            pts[:, 1] -= 100.0
+        lanes = [Lane3D(id=lane_id, points=pts + [dx, 0.0, 0.0], visibility=np.ones(n, int))
+                 for lane_id, dx in (("a", 0.0), ("b", width))]
+        scenes.append(Scene(frame_id=f"{case}_{k}", camera=pose,
+                            lanes=[] if case == "no_lanes" else lanes))
+    return scenes
+
+
+@given(edge_scenes())
+@settings(max_examples=30, deadline=None)
+def test_edge_cases_exit_0_or_2_at_every_stage(tmp_path_factory, scenes):
+    d = tmp_path_factory.mktemp("edge")
+    gt, flat, rec, report = (d / name for name in ("gt.jsonl", "flat.jsonl", "rec.jsonl",
+                                                   "report.json"))
+    write_scenes(scenes, gt)
+    codes = [run(["project", "--in", gt, "--out", flat])]
+    if codes[-1] == 0:
+        codes.append(run(["reconstruct", "--in", flat, "--out", rec]))
+    if codes[-1] == 0:
+        codes.append(run(["evaluate", gt, rec, "--out", report]))
+        codes.append(run(["plot", "--in", gt, "--pred", rec, "--out", d / "figures"]))
+    if report.exists():
+        codes.append(run(["plot", "--in", report, "--out", d / "figures"]))
+    assert set(codes) <= {0, 2}
 
 
 def test_reconstruct_single_boundary_status(tmp_path, simple_scene, pose):

@@ -1,47 +1,58 @@
-import math
-
 import numpy as np
 import pytest
 
-from lane3d.errors import HeightExceedsCamera, MismatchedAnchors
-from lane3d.losses import (LossWeights, WidthSeries, anchor_loss, cam_loss,
-                           dist2d_weighted, dist3d, geo_prior_loss,
-                           geo_prior_of_heights, grad_check, total_rec_loss,
-                           width_series)
-from lane3d.model import Anchor, AnchorSet, PairMap, Point3D
+from lane3d.errors import HeightExceedsCamera
+from lane3d.losses import (WidthSeries, geo_prior_loss, geo_prior_of_heights,
+                           grad_check, width_series)
+from lane3d.model import Lane3D, PairMap
 from lane3d.pairing import match_point_pairs
-from lane3d.projection import lift_from_virtual_top_xy
+from lane3d.projection import lift_from_virtual_top_xy, project_virtual_top_xy
 
 from conftest import H_CAM, straight_lane
 
 
+def _pair_widths(a, b, h_cam=H_CAM):
+    """(D_3D, D_2D) of one pair of 3D points, through width_series."""
+    left = Lane3D(id="l", points=[a], visibility=[1])
+    right = Lane3D(id="r", points=[b], visibility=[1])
+    series = width_series(left, right, PairMap(pairs={0: 0}, source_id="l", target_id="r"),
+                          h_cam)
+    return float(series.d3[0]), float(series.d2[0])
+
+
 def test_dist3d_examples():
-    a = Point3D(1, 2, 3)
-    assert dist3d(a, a) == 0.0
-    assert dist3d(Point3D(0, 0, 0), Point3D(3, 4, 0)) == 5.0
-    assert dist3d(Point3D(1, 2, 3), Point3D(4, 6, 3)) == 5.0
+    # D_3D does not depend on the camera; a tall one keeps z = 3 below it
+    assert _pair_widths((1, 2, 3), (1, 2, 3), h_cam=10.0)[0] == 0.0
+    assert _pair_widths((0, 0, 0), (3, 4, 0))[0] == 5.0
+    assert _pair_widths((1, 2, 3), (4, 6, 3), h_cam=10.0)[0] == 5.0
 
 
 def test_dist2d_flat_pair():
-    got = dist2d_weighted(Point3D(0, 10, 0), Point3D(3.5, 10, 0), H_CAM)
+    got = _pair_widths((0, 10, 0), (3.5, 10, 0))[1]
     assert got == pytest.approx(3.5 * H_CAM, abs=1e-12)   # 6.23
+    # unequal heights: (3.5, 10, 0.89) projects to (7, 20), and the weight is
+    # h minus the mean height
+    got = _pair_widths((0, 10, 0), (3.5, 10, 0.89))[1]
+    assert got == pytest.approx(np.hypot(7.0, 10.0) * (H_CAM - 0.445), abs=1e-12)
 
 
 def test_dist2d_equal_height_pair():
     # both endpoints at z = 0.89 project with scale 2: flat width 7.0,
     # weight h - z = 0.89, giving h * c = 6.23 again
-    got = dist2d_weighted(Point3D(0, 10, 0.89), Point3D(3.5, 10, 0.89), H_CAM)
+    got = _pair_widths((0, 10, 0.89), (3.5, 10, 0.89))[1]
     assert got == pytest.approx(7.0 * 0.89, abs=1e-12)
     assert got == pytest.approx(3.5 * H_CAM, abs=1e-12)
 
 
 def test_dist2d_zero_for_equal_points():
-    assert dist2d_weighted(Point3D(1, 2, 0.3), Point3D(1, 2, 0.3), H_CAM) == 0.0
+    assert _pair_widths((1, 2, 0.3), (1, 2, 0.3))[1] == 0.0
 
 
 def test_dist2d_rejects_height_at_camera():
     with pytest.raises(HeightExceedsCamera):
-        dist2d_weighted(Point3D(0, 10, H_CAM), Point3D(1, 10, 0), H_CAM)
+        _pair_widths((0, 10, H_CAM), (1, 10, 0))
+    with pytest.raises(HeightExceedsCamera):
+        _pair_widths((0, 10, 0), (1, 10, H_CAM + 0.5))
 
 
 def test_equal_height_identity_random_pairs():
@@ -50,10 +61,10 @@ def test_equal_height_identity_random_pairs():
     rng = np.random.default_rng(21)
     for _ in range(200):
         z = rng.uniform(-1.0, 1.7)
-        a = Point3D(rng.uniform(-10, 10), rng.uniform(1, 100), z)
-        b = Point3D(rng.uniform(-10, 10), rng.uniform(1, 100), z)
-        d_xy = math.hypot(a.x - b.x, a.y - b.y)
-        assert dist2d_weighted(a, b, H_CAM) == pytest.approx(d_xy * H_CAM, abs=1e-9)
+        a = (rng.uniform(-10, 10), rng.uniform(1, 100), z)
+        b = (rng.uniform(-10, 10), rng.uniform(1, 100), z)
+        d_xy = np.hypot(a[0] - b[0], a[1] - b[1])
+        assert _pair_widths(a, b)[1] == pytest.approx(d_xy * H_CAM, abs=1e-9)
 
 
 def test_width_series_parallel_lanes():
@@ -127,72 +138,6 @@ def test_geo_loss_sums_both_series():
     assert geo_prior_loss(s, 1.0) == pytest.approx(0.2 + 1.0, abs=1e-12)
 
 
-def _anchor(x, z, vis, prob, aid="a"):
-    return Anchor(id=aid, x_offsets=x, z=z, vis=vis, prob=prob)
-
-
-def test_anchor_loss_zero_for_exact_match():
-    refs = [5.0, 10.0, 15.0]
-    gt = AnchorSet(y_refs=refs, anchors=[
-        _anchor([1.0, 1.1, 1.2], [0.0, 0.1, 0.2], [1, 1, 0], 1.0)])
-    pred = AnchorSet(y_refs=refs, anchors=[
-        _anchor([1.0, 1.1, 1.2], [0.0, 0.1, 0.2], [1, 1, 0], 1.0)])
-    assert anchor_loss(pred, gt) == 0.0
-
-
-def test_anchor_loss_single_offset():
-    refs = [5.0, 10.0]
-    gt = AnchorSet(y_refs=refs, anchors=[_anchor([1.0, 2.0], [0, 0], [1, 1], 1.0)])
-    pred = AnchorSet(y_refs=refs, anchors=[_anchor([1.1, 2.0], [0, 0], [1, 1], 1.0)])
-    assert anchor_loss(pred, gt) == pytest.approx(0.1, abs=1e-12)
-
-
-def test_anchor_loss_cross_entropy():
-    refs = [5.0]
-    gt = AnchorSet(y_refs=refs, anchors=[_anchor([1.0], [0.0], [1.0], 1.0)])
-    pred = AnchorSet(y_refs=refs, anchors=[_anchor([1.0], [0.0], [1.0], 0.5)])
-    assert anchor_loss(pred, gt) == pytest.approx(-math.log(0.5), abs=1e-9)
-
-
-def test_anchor_loss_visibility_term():
-    refs = [5.0, 10.0]
-    gt = AnchorSet(y_refs=refs, anchors=[_anchor([1.0, 2.0], [0, 0], [1.0, 1.0], 1.0)])
-    pred = AnchorSet(y_refs=refs, anchors=[_anchor([1.0, 2.0], [0, 0], [1.0, 0.25], 1.0)])
-    assert anchor_loss(pred, gt) == pytest.approx(0.75, abs=1e-12)
-
-
-def test_anchor_loss_nonnegative_random():
-    rng = np.random.default_rng(31)
-    refs = [5.0, 10.0, 15.0]
-    for _ in range(100):
-        def rand_anchor():
-            return _anchor(rng.uniform(-5, 5, 3), rng.uniform(-1, 1, 3),
-                           rng.uniform(0, 1, 3), float(rng.uniform(0, 1)))
-        assert anchor_loss(AnchorSet(y_refs=refs, anchors=[rand_anchor()]),
-                           AnchorSet(y_refs=refs, anchors=[rand_anchor()])) >= 0.0
-
-
-def test_anchor_loss_mismatched_refs():
-    gt = AnchorSet(y_refs=[5.0], anchors=[_anchor([1.0], [0.0], [1.0], 1.0)])
-    pred = AnchorSet(y_refs=[6.0], anchors=[_anchor([1.0], [0.0], [1.0], 1.0)])
-    with pytest.raises(MismatchedAnchors):
-        anchor_loss(pred, gt)
-
-
-def test_cam_loss():
-    assert cam_loss(0.1, 1.78, 0.1, 1.78) == 0.0
-    assert cam_loss(0.11, 1.80, 0.10, 1.78) == pytest.approx(0.03, abs=1e-12)
-    assert cam_loss(0.1, 1.7, 0.2, 1.9) == cam_loss(0.2, 1.9, 0.1, 1.7)
-
-
-def test_total_rec_loss():
-    w = LossWeights()
-    assert w.lambda_geo == 1e-2 and w.lambda_cam == 1e2
-    assert total_rec_loss(1.0, 0.2, w) == pytest.approx(1.002, abs=1e-12)
-    assert total_rec_loss(1.0, 0.0, w) == 1.0
-    assert total_rec_loss(1.0, 0.2, LossWeights(lambda_geo=0.0)) == 1.0
-
-
 def _random_height_config(rng, n=12):
     ys = np.cumsum(rng.uniform(2.0, 4.0, n)) + 4.0
     left = np.column_stack([rng.uniform(-2, 0, n), ys])
@@ -202,8 +147,9 @@ def _random_height_config(rng, n=12):
 
 
 def test_geo_of_heights_matches_width_series_route():
-    # independent route: lift the pairs, run them through the point-wise
-    # distance functions, and compare against the height-parameterized form
+    # independent route: lift the pairs, project the lifted points back to
+    # the flat ground, measure both widths from the points, and compare
+    # against the height-parameterized form
     rng = np.random.default_rng(71)
     for _ in range(20):
         left, right, z = _random_height_config(rng)
@@ -211,9 +157,11 @@ def test_geo_of_heights_matches_width_series_route():
         value, _ = geo_prior_of_heights(z, left, right, H_CAM)
         lifted_l = lift_from_virtual_top_xy(left, z[:n], H_CAM)
         lifted_r = lift_from_virtual_top_xy(right, z[n:], H_CAM)
-        d3 = [dist3d(Point3D(*a), Point3D(*b)) for a, b in zip(lifted_l, lifted_r)]
-        d2 = [dist2d_weighted(Point3D(*a), Point3D(*b), H_CAM)
-              for a, b in zip(lifted_l, lifted_r)]
+        d3 = np.linalg.norm(lifted_l - lifted_r, axis=1)
+        flat_l = project_virtual_top_xy(lifted_l[:, :2], lifted_l[:, 2], H_CAM)
+        flat_r = project_virtual_top_xy(lifted_r[:, :2], lifted_r[:, 2], H_CAM)
+        d2 = (np.linalg.norm(flat_l - flat_r, axis=1)
+              * (H_CAM - 0.5 * (lifted_l[:, 2] + lifted_r[:, 2])))
         series = WidthSeries(d3=d3, d2=d2, mask=np.ones(n, dtype=int))
         assert value == pytest.approx(geo_prior_loss(series, 1.0), abs=1e-9)
 

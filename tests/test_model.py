@@ -7,19 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lane3d.errors import InvalidInput, InvariantViolation, ParseError
-from lane3d.model import (Anchor, AnchorSet, CameraPose, Intrinsics, Lane2D,
-                          Lane3D, PairMap, Point2D, Point3D, Prediction,
-                          Scene, TopViewMask, read_predictions, read_scenes,
+from lane3d.model import (CameraPose, Intrinsics, Lane2D, Lane3D, PairMap,
+                          Prediction, Scene, read_predictions, read_scenes,
                           write_predictions, write_scenes)
 
 from conftest import straight_lane
 
 
 def test_point_finite_required():
-    with pytest.raises(InvariantViolation):
-        Point3D(math.nan, 0.0, 0.0)
-    with pytest.raises(InvariantViolation):
-        Point2D(0.0, math.inf)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvariantViolation, match="finite"):
             Lane3D(id="a", points=[[0, 1, 0], [bad, 2, 0]], visibility=[1, 1])
@@ -68,21 +63,6 @@ def test_pairmap_nondecreasing_values():
     PairMap(pairs={0: 0, 1: 1, 2: 1}, source_id="a", target_id="b")
     with pytest.raises(InvariantViolation, match="nondecreasing"):
         PairMap(pairs={0: 2, 1: 1}, source_id="a", target_id="b")
-
-
-def test_anchor_set_shared_length():
-    a = Anchor(id="a", x_offsets=[1.0, 2.0], z=[0.0, 0.0], vis=[1.0, 1.0], prob=1.0)
-    AnchorSet(y_refs=[5.0, 10.0], anchors=[a])
-    with pytest.raises(InvariantViolation):
-        AnchorSet(y_refs=[5.0], anchors=[a])
-
-
-def test_mask_invariants():
-    TopViewMask(grid=np.zeros((4, 4)), meters_per_cell=0.5,
-                origin=Point2D(0, 0), thickness_cells=1)
-    with pytest.raises(InvariantViolation):
-        TopViewMask(grid=np.zeros((4, 4)), meters_per_cell=0.0,
-                    origin=Point2D(0, 0), thickness_cells=1)
 
 
 def test_read_single_scene(tmp_path, simple_scene):
@@ -161,10 +141,22 @@ def test_read_rejects_non_monotone_lane_naming_it(tmp_path, simple_scene):
                           ([[0.0, 1.0, None]], "finite"),
                           ([[0.0, 1.0, [0.0]]], "finite numbers"),
                           ([[0.0, 1.0, "x"]], "finite numbers"),
-                          ([[0.0, 1.0, 10 ** 400]], "finite numbers")]:
+                          ([[0.0, 1.0, 10 ** 400]], "finite numbers"),
+                          # np.fromiter reads these as 1.5, 0.0 and 1.0
+                          ([["1.5", 1.0, 0.0]], "finite numbers"),
+                          ([[0.0, 1.0, False]], "finite numbers"),
+                          ([[True, 1.0, 0.0], [0.0, 2.0, 0.0]], "finite numbers")]:
         doc["lanes"][0]["points"] = rows
         path.write_text(json.dumps(doc) + "\n")
         with pytest.raises(InvariantViolation, match=f"bad.jsonl:1: lane 'left': .*{message}"):
+            read_scenes(path)
+    # boolean visibility flags name the lane too; 0/1 numbers are the format
+    doc = scene_to_dict(simple_scene)
+    n = len(doc["lanes"][0]["points"])
+    for flags in ([True] * n, [1] * (n - 1) + [False], ["1"] * n):
+        doc["lanes"][0]["visibility"] = flags
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(InvariantViolation, match="bad.jsonl:1: lane 'left': visibility"):
             read_scenes(path)
 
 
@@ -189,20 +181,19 @@ def test_write_read_write_identical_bytes(tmp_path, simple_scene, pose):
 
 
 def test_prediction_round_trip(tmp_path, simple_scene):
-    aset = AnchorSet(y_refs=[5.0, 10.0],
-                     anchors=[Anchor(id="left", x_offsets=[-1.75, -1.75],
-                                     z=[0.0, 0.0], vis=[1.0, 1.0], prob=0.9)])
     pred = Prediction(frame_id=simple_scene.frame_id, camera=simple_scene.camera,
-                      lanes=simple_scene.lanes, probs=[0.9, 0.8], anchors=aset)
+                      lanes=simple_scene.lanes, probs=[0.9, 0.8])
     path = tmp_path / "pred.jsonl"
     write_predictions([pred], path)
     back = read_predictions(path)
     assert back == [pred]
+    # a legacy "anchors" block is ignored, as any other unknown record key is
     doc = json.loads(path.read_text())
-    doc["anchors"]["anchors"][0]["prob"] = "0.9"
+    doc["anchors"] = {"y_refs": [5.0, 10.0], "anchors": [
+        {"id": "left", "x_offsets": [-1.75, -1.75], "z": [0.0, 0.0], "vis": [1.0, 1.0],
+         "prob": "0.9"}]}
     path.write_text(json.dumps(doc) + "\n")
-    with pytest.raises(InvalidInput, match="pred.jsonl:1: anchor 'left' prob must be a number"):
-        read_predictions(path)
+    assert read_predictions(path) == [pred]
 
 
 def test_prediction_prob_defaults_to_one(tmp_path, simple_scene):

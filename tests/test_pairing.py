@@ -3,8 +3,7 @@ import pytest
 
 from lane3d.errors import InvalidInput
 from lane3d.model import Lane2D, Lane3D
-from lane3d.pairing import (PairingConfig, match_point_pairs,
-                            adjacent_index_pairs)
+from lane3d.pairing import PairingConfig, match_point_pairs
 
 from conftest import straight_lane
 
@@ -188,28 +187,3 @@ def test_tie_breaks_to_smaller_index():
     seed_j = pm.pairs[1]
     assert seed_j == 1   # equidistant between j=1 and j=2
 
-
-def test_simplified_identity_and_shear():
-    ys = np.arange(0.0, 10.0, 1.0)
-    l1 = straight_lane("a", 0.0, ys)
-    l2 = straight_lane("b", 3.5, ys)
-    assert adjacent_index_pairs(l1, l2).pairs == {i: i for i in range(10)}
-
-    # shear the second lane so each point sits closest to the next index
-    pts2 = np.column_stack([np.full(10, 2.0), ys - 0.9, np.zeros(10)])
-    sheared = Lane3D(id="b", points=pts2, visibility=np.ones(10, dtype=int))
-    got = adjacent_index_pairs(l1, sheared)
-    brute = {}
-    for i in range(10):
-        cands = [j for j in (i - 1, i, i + 1) if 0 <= j < 10]
-        brute[i] = min(cands, key=lambda j: (
-            float(np.linalg.norm(l1.points[i] - pts2[j])), j))
-    assert got.pairs == brute
-    assert all(got.pairs[i] == i + 1 for i in range(9))
-    assert got.pairs[9] == 9
-
-
-def test_simplified_single_point():
-    l1 = straight_lane("a", 0.0, [1.0])
-    l2 = straight_lane("b", 3.5, [1.0])
-    assert adjacent_index_pairs(l1, l2).pairs == {0: 0}

@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
 
-from lane3d.errors import InvariantViolation, OutOfRange, SpecError
-from lane3d.model import Point2D, Scene
-from lane3d.projection import (lift_from_virtual_top_xy, project_real_top,
-                               project_virtual_top_xy)
-from lane3d.synth import (AnchorConfig, HillProfile, MaskGeometry, RoadSpec,
-                          decode_anchors, encode_anchors, generate_scene,
-                          generate_scenes, rasterize_top_mask, write_mask_pgm)
+from lane3d.errors import SpecError
+from lane3d.projection import project_virtual_top_xy
+from lane3d.synth import HillProfile, RoadSpec, generate_scene, generate_scenes
 
-from conftest import H_CAM, straight_lane
+from conftest import H_CAM
 
 
 def test_straight_flat_road():
@@ -55,143 +51,11 @@ def test_spec_errors_named():
         RoadSpec(height_profile=HillProfile(start_y=20.0, length=40.0, peak_z=2.0))
 
 
-def test_encode_straight_flat_lane(pose):
-    scene = generate_scene(RoadSpec(), seed=0)
-    aset = encode_anchors(scene)
-    right = aset.anchors[1]
-    sel = right.vis >= 0.5
-    assert np.any(sel)
-    assert np.allclose(right.x_offsets[sel], 1.75, atol=1e-12)
-    assert np.allclose(right.z, 0.0, atol=1e-12)
-    assert right.prob == 1.0
-
-
-def test_encode_uphill_doubles_flat_x(pose):
-    # lane constructed directly in flat coordinates: at the 30 m reference it
-    # sits at height 0.89, so its 3D x is half the encoded flat offset
-    refs = np.array([5.0, 10.0, 15.0, 20.0, 30.0, 40.0])
-    z = np.array([0.0, 0.0, 0.3, 0.6, 0.89, 0.89])
-    flat_x = np.full(len(refs), 3.0)
-    pts = lift_from_virtual_top_xy(np.column_stack([flat_x, refs]), z, H_CAM)
-    from lane3d.model import Lane3D
-    lane = Lane3D(id="up", points=pts, visibility=np.ones(len(refs), dtype=int))
-    scene = Scene(frame_id="f", camera=pose, lanes=[lane])
-    aset = encode_anchors(scene, AnchorConfig(y_refs=tuple(refs), y_assoc=5.0))
-    a = aset.anchors[0]
-    assert a.x_offsets[4] == pytest.approx(3.0, abs=1e-9)
-    assert a.z[4] == pytest.approx(0.89, abs=1e-9)
-    # flat offset is twice the 3D x at scale h/(h - 0.89) = 2
-    assert a.x_offsets[4] == pytest.approx(2.0 * pts[4, 0], abs=1e-9)
-
-
-def test_encode_decode_round_trip(pose):
-    refs = (5.0, 10.0, 15.0, 20.0, 30.0, 40.0, 50.0, 60.0, 80.0, 100.0)
-    spec = RoadSpec(y_start=5.0, y_end=100.0, y_step=5.0)
-    scene = generate_scene(spec, seed=0)
-    aset = encode_anchors(scene, AnchorConfig(y_refs=refs))
-    lanes = decode_anchors(aset, H_CAM, prob_threshold=0.5)
-    assert [lane.id for lane in lanes] == [lane.id for lane in scene.lanes]
-    for orig, back in zip(scene.lanes, lanes):
-        flat_y = orig.points[:, 1]    # flat road: flat y equals 3D y
-        for k, ref in enumerate(refs):
-            i = int(np.argmin(np.abs(flat_y - ref)))
-            if abs(flat_y[i] - ref) < 1e-9 and orig.visibility[i]:
-                j = np.argmin(np.abs(back.points[:, 1] - ref))
-                assert np.max(np.abs(back.points[j] - orig.points[i])) < 1e-9
-
-
-def test_decode_drops_low_prob_and_invisible():
-    from lane3d.model import Anchor, AnchorSet
-    refs = [5.0, 10.0]
-    keep = Anchor(id="keep", x_offsets=[1.0, 1.0], z=[0.0, 0.0], vis=[1, 1], prob=0.9)
-    low = Anchor(id="low", x_offsets=[1.0, 1.0], z=[0.0, 0.0], vis=[1, 1], prob=0.2)
-    blind = Anchor(id="blind", x_offsets=[1.0, 1.0], z=[0.0, 0.0], vis=[0, 0], prob=0.9)
-    lanes = decode_anchors(AnchorSet(y_refs=refs, anchors=[keep, low, blind]),
-                           H_CAM, prob_threshold=0.5)
-    assert [lane.id for lane in lanes] == ["keep"]
-
-
-def test_encode_out_of_range(pose):
-    lane = straight_lane("short", 0.0, [50.0, 60.0, 70.0])
-    scene = Scene(frame_id="f", camera=pose, lanes=[lane])
-    with pytest.raises(OutOfRange, match="short"):
-        encode_anchors(scene)
-
-
-def test_encode_rejects_folded_projection(pose):
-    # steep downhill at far range folds the virtual projection
-    ys = np.arange(5.0, 101.0, 5.0)
-    z = np.where(ys < 50, 0.0, np.minimum((ys - 50) * 0.06, 1.2))
-    z = np.where(ys > 80, 1.2 - (ys - 80) * 0.05, z)
-    lane = straight_lane("fold", 0.0, ys, z=z)
-    scene = Scene(frame_id="f", camera=pose, lanes=[lane])
-    with pytest.raises(InvariantViolation, match="fold"):
-        encode_anchors(scene)
-
-
-def test_rasterize_empty_scene(pose):
-    scene = Scene(frame_id="f", camera=pose, lanes=[])
-    geom = MaskGeometry(width_cells=10, height_cells=10, meters_per_cell=1.0,
-                        origin=Point2D(-5.0, 0.0), thickness_cells=1)
-    mask = rasterize_top_mask(scene, geom)
-    assert int(mask.grid.sum()) == 0
-
-
-@pytest.mark.parametrize("thickness", [1, 2, 3])
-def test_rasterize_straight_lane_stripe(pose, thickness):
-    lane = straight_lane("mid", 0.0, np.arange(0.5, 10.0, 0.5))
-    scene = Scene(frame_id="f", camera=pose, lanes=[lane])
-    geom = MaskGeometry(width_cells=10, height_cells=10, meters_per_cell=1.0,
-                        origin=Point2D(-5.0, 0.0), thickness_cells=thickness)
-    mask = rasterize_top_mask(scene, geom)
-    # oracle: a vertical stripe of the configured width at the lane column
-    expected = np.zeros((10, 10), dtype=np.uint8)
-    col = 5
-    half = thickness // 2
-    expected[:, col - half:col - half + thickness] = 1
-    rows_touched = np.rint(np.arange(0.5, 10.0, 0.5)).astype(int)
-    keep = np.zeros(10, dtype=bool)
-    keep[np.clip(rows_touched, 0, 9)] = True
-    # Bresenham connects consecutive samples, covering all rows in between
-    lo, hi = rows_touched.min(), min(rows_touched.max(), 9)
-    expected[:lo] = 0
-    expected[hi + 1:] = 0
-    assert np.array_equal(mask.grid, expected)
-
-
-def test_mask_identical_under_zero_yaw(pose, simple_scene):
-    from lane3d.augment import AugmentConfig, augment_scene
-    geom = MaskGeometry(width_cells=40, height_cells=110, meters_per_cell=1.0,
-                        origin=Point2D(-20.0, 0.0), thickness_cells=2)
-    cfg = AugmentConfig(yaw_range=(0.0, 0.0), p_yaw=1.0, p_pitch=0.0, p_roll=0.0)
-    m1 = rasterize_top_mask(simple_scene, geom)
-    m2 = rasterize_top_mask(augment_scene(simple_scene, cfg), geom)
-    assert np.array_equal(m1.grid, m2.grid)
-
-
-def test_flat_scene_virtual_equals_real_mask(pose, simple_scene):
+def test_flat_scene_virtual_equals_real_top(simple_scene):
     # on flat scenes the virtual and real top views coincide
     for lane in simple_scene.lanes:
         flat = project_virtual_top_xy(lane.xy, lane.z, H_CAM)
-        real = np.array([[project_real_top(lane.point(i)).x,
-                          project_real_top(lane.point(i)).y]
-                         for i in range(len(lane))])
-        assert np.allclose(flat, real, atol=0)
-
-
-def test_pgm_output(tmp_path, simple_scene):
-    geom = MaskGeometry(width_cells=12, height_cells=8, meters_per_cell=2.0,
-                        origin=Point2D(-12.0, 0.0), thickness_cells=1)
-    mask = rasterize_top_mask(simple_scene, geom)
-    path = tmp_path / "mask.pgm"
-    write_mask_pgm(mask, path)
-    data = path.read_bytes()
-    assert data.startswith(b"P5\n12 8\n255\n")
-    body = data.split(b"255\n", 1)[1]
-    assert len(body) == 12 * 8
-    assert set(body) <= {0, 255}
-    sidecar = (tmp_path / "mask.pgm.json").read_text()
-    assert '"meters_per_cell": 2.0' in sidecar
+        assert np.array_equal(flat, lane.points[:, :2])
 
 
 def test_generated_scenes_satisfy_width_prior():
