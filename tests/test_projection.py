@@ -57,6 +57,17 @@ def test_lift_examples():
         lift_from_virtual_top_xy(np.array([[1.0, 1.0]]), np.array([H_CAM]), H_CAM)
 
 
+def test_array_forms_match_scalar():
+    # each row of the array forms equals the per-point formula h / (h - z)
+    pts = np.array([[1.0, 10.0, 0.3], [-2.0, 50.0, -0.4], [0.5, 80.0, 0.0]])
+    flat = project_virtual_top_xy(pts[:, :2], pts[:, 2], H_CAM)
+    for row, (x, y, z) in zip(flat, pts):
+        scale = H_CAM / (H_CAM - z)
+        assert row[0] == pytest.approx(x * scale) and row[1] == pytest.approx(y * scale)
+    lifted = lift_from_virtual_top_xy(flat, pts[:, 2], H_CAM)
+    assert np.allclose(lifted, pts, atol=1e-12)
+
+
 @given(x=st.floats(-50, 50), y=st.floats(0.1, 200), z=st.floats(-1.0, 1.7))
 @settings(max_examples=200, deadline=None)
 def test_lift_project_round_trip(x, y, z):
@@ -93,6 +104,29 @@ def test_front_view_pitch_moves_v_down(pose):
     (_, v_tilt), _ = _front_view(0, 30, 0, tilted)
     # positive pitch tilts the axis down, so ground points move up in v
     assert v_tilt < v_flat
+
+
+def _ground_homography(pose):
+    # K [r1 r2 t]: camera-frame coordinates of (x, y, 0) as a map of (x, y, 1)
+    c, s = np.cos(pose.pitch_rad), np.sin(pose.pitch_rad)
+    k = pose.intrinsics
+    kmat = np.array([[k.fx, 0.0, k.cx], [0.0, k.fy, k.cy], [0.0, 0.0, 1.0]])
+    return kmat @ np.array([[1.0, 0.0, 0.0],
+                            [0.0, -s, c * pose.height_m],
+                            [0.0, c, s * pose.height_m]])
+
+
+def test_homography_matches_pinhole(pose):
+    # on the ground plane the pinhole projection is the plane homography
+    rng = np.random.default_rng(11)
+    for p in (pose, CameraPose(height_m=pose.height_m, pitch_rad=0.05,
+                               intrinsics=pose.intrinsics)):
+        xy = np.column_stack([rng.uniform(-20, 20, 100), rng.uniform(1.0, 120, 100)])
+        mapped = np.column_stack([xy, np.ones(100)]) @ _ground_homography(p).T
+        uv_h = mapped[:, :2] / mapped[:, 2:]
+        uv_p, depth = project_front_view_points(np.column_stack([xy, np.zeros(100)]), p)
+        assert np.all(depth > 0)
+        assert np.max(np.abs(uv_h - uv_p)) < 1e-9
 
 
 def test_visibility_inside_behind_and_edge(pose):

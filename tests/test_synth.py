@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from lane3d.errors import SpecError
-from lane3d.projection import project_virtual_top_xy
+from lane3d.errors import InvariantViolation, SpecError
+from lane3d.model import Lane3D
+from lane3d.projection import (lift_from_virtual_top_xy, project_virtual_top_xy,
+                               resample_flat)
 from lane3d.synth import HillProfile, RoadSpec, generate_scene, generate_scenes
 
-from conftest import H_CAM
+from conftest import H_CAM, straight_lane
+
+# flat-ground y references at which a lane is encoded (resampled)
+Y_REFS = (5.0, 10.0, 15.0, 20.0, 30.0, 40.0, 50.0, 60.0, 80.0, 100.0)
 
 
 def test_straight_flat_road():
@@ -51,8 +56,54 @@ def test_spec_errors_named():
         RoadSpec(height_profile=HillProfile(start_y=20.0, length=40.0, peak_z=2.0))
 
 
-def test_flat_scene_virtual_equals_real_top(simple_scene):
-    # on flat scenes the virtual and real top views coincide
+def test_encode_straight_flat_lane():
+    scene = generate_scene(RoadSpec(), seed=0)
+    x, z, vis = resample_flat(scene.lanes[1], H_CAM, Y_REFS)
+    assert np.any(vis)
+    assert np.allclose(x[vis], 1.75, atol=1e-12)
+    assert np.allclose(z[vis], 0.0, atol=1e-12)
+
+
+def test_encode_uphill_doubles_flat_x():
+    # lane constructed directly in flat coordinates: at the 30 m reference it
+    # sits at height 0.89, so its 3D x is half the encoded flat x
+    refs = np.array([5.0, 10.0, 15.0, 20.0, 30.0, 40.0])
+    z = np.array([0.0, 0.0, 0.3, 0.6, 0.89, 0.89])
+    flat_x = np.full(len(refs), 3.0)
+    pts = lift_from_virtual_top_xy(np.column_stack([flat_x, refs]), z, H_CAM)
+    lane = Lane3D(id="up", points=pts, visibility=np.ones(len(refs), dtype=int))
+    x, z_at, vis = resample_flat(lane, H_CAM, refs)
+    assert vis.all()
+    assert x[4] == pytest.approx(3.0, abs=1e-9)
+    assert z_at[4] == pytest.approx(0.89, abs=1e-9)
+    # flat x is twice the 3D x at scale h/(h - 0.89) = 2
+    assert x[4] == pytest.approx(2.0 * pts[4, 0], abs=1e-9)
+
+
+def test_encode_rejects_folded_projection():
+    # steep downhill at far range folds the virtual projection
+    ys = np.arange(5.0, 101.0, 5.0)
+    z = np.where(ys < 50, 0.0, np.minimum((ys - 50) * 0.06, 1.2))
+    z = np.where(ys > 80, 1.2 - (ys - 80) * 0.05, z)
+    lane = straight_lane("fold", 0.0, ys, z=z)
+    with pytest.raises(InvariantViolation, match="lane 'fold'.*fold"):
+        resample_flat(lane, H_CAM, Y_REFS)
+
+
+def test_mask_identical_under_zero_yaw(simple_scene):
+    # a zero-yaw rotation leaves both top views of every lane unchanged
+    from lane3d.augment import AugmentConfig, augment_scene
+    cfg = AugmentConfig(yaw_range=(0.0, 0.0), p_yaw=1.0, p_pitch=0.0, p_roll=0.0)
+    out = augment_scene(simple_scene, cfg)
+    assert [lane.id for lane in out.lanes] == [lane.id for lane in simple_scene.lanes]
+    for before, after in zip(simple_scene.lanes, out.lanes):
+        assert np.array_equal(after.xy, before.xy)
+        assert np.array_equal(project_virtual_top_xy(after.xy, after.z, H_CAM),
+                              project_virtual_top_xy(before.xy, before.z, H_CAM))
+
+
+def test_flat_scene_virtual_equals_real_mask(simple_scene):
+    # on flat scenes the virtual top view coincides with the real one (xy)
     for lane in simple_scene.lanes:
         flat = project_virtual_top_xy(lane.xy, lane.z, H_CAM)
         assert np.array_equal(flat, lane.points[:, :2])
