@@ -20,6 +20,7 @@ from .pairing import PairingConfig, match_point_pairs
 from .projection import (compute_visibility, lift_from_virtual_top_xy,
                          project_front_view_points, project_virtual_top_xy)
 from .reconstruct import SolveOptions
-from .synth import HillProfile, RoadSpec, generate_scene, generate_scenes
+from .synth import (GeneratorConfig, HillProfile, RoadSpec, generate_scene,
+                    generate_scenes)
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput
-from .model import Config, Lane3D, Scene
+from .model import Config, Lane3D, Scene, check_range
 from .projection import compute_visibility
 
 _AXES = ("pitch", "roll", "yaw")
@@ -47,9 +47,7 @@ class AugmentConfig(Config):
             raise InvalidInput(
                 f"an angle_unit dict must name exactly the axes {', '.join(_AXES)}")
         for axis in _AXES:
-            lo, hi = getattr(self, f"{axis}_range")
-            if not lo <= hi:
-                raise InvalidInput(f"{axis}_range must satisfy lo <= hi")
+            check_range(f"{axis}_range", getattr(self, f"{axis}_range"))
             p = getattr(self, f"p_{axis}")
             if not 0.0 <= p <= 1.0:
                 raise InvalidInput(f"p_{axis} must be within [0, 1]")

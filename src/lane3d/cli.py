@@ -17,7 +17,7 @@ from pathlib import Path
 from . import evaluate as ev
 from . import model, plot, synth
 from .augment import AugmentConfig, augment_scene
-from .errors import InvalidInput, Lane3DError
+from .errors import HeightExceedsCamera, InvalidInput, Lane3DError
 from .model import FlatFrame, Lane2D, Scene
 from .projection import project_virtual_top_xy
 from .reconstruct import STOP_REASONS, SolveOptions, solve_frame, write_trace_csv
@@ -89,11 +89,14 @@ def cmd_augment(args) -> int:
 
 
 def _project_scene(scene: Scene) -> FlatFrame:
-    h = scene.camera.height_m
-    lanes = [Lane2D(id=lane.id,
-                    points=project_virtual_top_xy(lane.xy, lane.z, h),
-                    visibility=lane.visibility)
-             for lane in scene.lanes]
+    lanes = []
+    for lane in scene.lanes:
+        try:
+            points = project_virtual_top_xy(lane.xy, lane.z, scene.camera.height_m)
+        except HeightExceedsCamera as e:
+            raise HeightExceedsCamera(
+                f"frame {scene.frame_id!r}, lane {lane.id!r}: {e}") from e
+        lanes.append(Lane2D(id=lane.id, points=points, visibility=lane.visibility))
     return FlatFrame(frame_id=scene.frame_id, camera=scene.camera, lanes=lanes)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -29,30 +29,36 @@ def _require(cond: bool, msg: str) -> None:
 
 
 class Config:
-    """Mixin for the stage config dataclasses: from_dict builds one from a
-    JSON object, coercing each value by the type of its field's default
-    (float, int, tuple of floats, nested config; anything else as given) and
-    rejecting keys that are not fields."""
+    """Mixin for the stage config dataclasses: from_dict reads a JSON object
+    as a section over the defaults (see _coerce)."""
 
     @classmethod
     def from_dict(cls, d: dict):
-        if not isinstance(d, dict):
-            raise InvalidInput(f"{cls.__name__}: config must be a JSON object")
-        defaults = {f.name: f.default if f.default is not MISSING else f.default_factory()
-                    for f in fields(cls)}
-        unknown = sorted(set(d) - set(defaults))
-        if unknown:
-            raise InvalidInput(f"{cls.__name__}: unknown config keys: {', '.join(unknown)}")
-        return cls(**{key: _coerce(f"{cls.__name__}.{key}", defaults[key], value)
-                      for key, value in d.items()})
+        return _coerce(cls.__name__, cls(), d)
+
+
+def check_range(name: str, pair) -> None:
+    """A [lo, hi] range: exactly two numbers with lo <= hi."""
+    if len(pair) != 2 or not pair[0] <= pair[1]:
+        raise InvalidInput(f"{name} must be [lo, hi] with lo <= hi, got {list(pair)}")
 
 
 def _coerce(name: str, default, value):
-    """Coerce value by the type of default. A number field takes only JSON
-    numbers (not booleans); an int field takes only integral values and a
-    float field only finite ones."""
-    if isinstance(default, Config):
-        return type(default).from_dict(value)
+    """Coerce value by the type of default. A dataclass default is a section:
+    value must be a JSON object of its fields, each coerced in turn, and a
+    field it omits keeps the default's value. A tuple takes numbers. A number
+    field takes only JSON numbers (not booleans); an int field takes only
+    integral values and a float field only finite ones. Anything else is
+    taken as given."""
+    if is_dataclass(default):
+        if not isinstance(value, dict):
+            raise InvalidInput(f"{name}: config must be a JSON object")
+        names = {f.name for f in fields(default)}
+        unknown = [f"{name}.{key}" for key in sorted(set(value) - names)]
+        if unknown:
+            raise InvalidInput(f"unknown config keys: {', '.join(unknown)}")
+        return replace(default, **{key: _coerce(f"{name}.{key}", getattr(default, key), v)
+                                   for key, v in value.items()})
     if isinstance(default, tuple):
         return tuple(_coerce(name, 0.0, v) for v in value)
     if not isinstance(default, (float, int)):

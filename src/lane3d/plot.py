@@ -3,6 +3,7 @@ GT in blue and predictions in red, plus a metric bar chart for reports."""
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -23,6 +24,8 @@ def _axis_range(values, pad_frac=0.08, min_span=1.0):
     if hi - lo < min_span:
         mid = 0.5 * (lo + hi)
         lo, hi = mid - min_span / 2, mid + min_span / 2
+        if lo == hi:   # past |mid| ~ 1e16 the widening is below the float spacing
+            lo, hi = mid - math.ulp(mid), mid + math.ulp(mid)
     pad = (hi - lo) * pad_frac
     return lo - pad, hi + pad
 

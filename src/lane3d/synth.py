@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, SpecError
-from .model import CameraPose, Intrinsics, Lane3D, Scene, camera_from_dict
+from .model import CameraPose, Config, Intrinsics, Lane3D, Scene, check_range
 from .projection import compute_visibility
 
 
@@ -118,28 +118,42 @@ def generate_scene(spec: RoadSpec, seed: int = 0, frame_id: str | None = None) -
 # Batch scene generation for the CLI: a config of parameter ranges from which
 # per-scene road specs are drawn.
 
-DEFAULT_GENERATOR = {
-    "camera": {
-        "height_m": 1.78,
-        "pitch_rad": 0.0,
-        "intrinsics": {"fx": 1000.0, "fy": 1000.0, "cx": 960.0, "cy": 540.0,
-                       "width_px": 1920, "height_px": 1080},
-    },
-    "lane_width": 3.5,
-    "num_boundaries": 2,
-    "y_start": 3.0,
-    "y_end": 100.0,
-    "y_step": 4.0,
-    "x_offset_range": [-2.0, 2.0],
-    "curvature_range": [-0.0008, 0.0008],
-    "flat_fraction": 0.3,
-    "hill": {
-        "peak_z_range": [0.05, 0.6],
-        "start_y_range": [20.0, 50.0],
-        "length_range": [60.0, 160.0],
-    },
-    "min_flat_step": 1.5,
-}
+@dataclass(frozen=True)
+class HillRanges(Config):
+    """Ranges of the raised-cosine hill draws."""
+
+    peak_z_range: tuple[float, float] = (0.05, 0.6)
+    start_y_range: tuple[float, float] = (20.0, 50.0)
+    length_range: tuple[float, float] = (60.0, 160.0)
+
+    def __post_init__(self):
+        for name in ("peak_z_range", "start_y_range", "length_range"):
+            check_range(name, getattr(self, name))
+
+
+@dataclass(frozen=True)
+class GeneratorConfig(Config):
+    """The road every scene shares and the ranges its varying parameters are
+    drawn from: the centerline offset and curvature, whether the road is
+    flat (with probability flat_fraction) and otherwise its hill."""
+
+    camera: CameraPose = field(default_factory=_default_camera)
+    lane_width: float = 3.5
+    num_boundaries: int = 2
+    y_start: float = 3.0
+    y_end: float = 100.0
+    y_step: float = 4.0
+    x_offset_range: tuple[float, float] = (-2.0, 2.0)
+    curvature_range: tuple[float, float] = (-0.0008, 0.0008)
+    flat_fraction: float = 0.3
+    hill: HillRanges = HillRanges()
+    min_flat_step: float = 1.5
+
+    def __post_init__(self):
+        check_range("x_offset_range", self.x_offset_range)
+        check_range("curvature_range", self.curvature_range)
+        if not 0.0 <= self.flat_fraction <= 1.0:
+            raise InvalidInput("flat_fraction must be within [0, 1]")
 
 
 def _flat_step_ok(spec: RoadSpec, min_step: float) -> bool:
@@ -155,62 +169,34 @@ def _flat_step_ok(spec: RoadSpec, min_step: float) -> bool:
     return bool(np.min(np.diff(flat_y)) >= min_step)
 
 
-def sample_road_spec(config: dict, rng: np.random.Generator) -> RoadSpec:
-    """Draw one road spec from a generator config of parameter ranges;
-    redraws hill profiles whose flat projection would be too compressed."""
-    cfg = {**DEFAULT_GENERATOR, **config}
-    x0 = rng.uniform(*cfg["x_offset_range"])
-    curv = rng.uniform(*cfg["curvature_range"])
-    base = dict(
-        centerline_x_coeffs=(x0, 0.0, curv),
-        lane_width=float(cfg["lane_width"]),
-        num_boundaries=int(cfg["num_boundaries"]),
-        y_start=float(cfg["y_start"]),
-        y_end=float(cfg["y_end"]),
-        y_step=float(cfg["y_step"]),
-        camera=camera_from_dict(cfg["camera"]),
-    )
-    if rng.uniform() < cfg["flat_fraction"]:
+def sample_road_spec(cfg: GeneratorConfig, rng: np.random.Generator) -> RoadSpec:
+    """Draw one road spec from the generator config's ranges; redraws hill
+    profiles whose flat projection would be too compressed."""
+    x0 = rng.uniform(*cfg.x_offset_range)
+    curv = rng.uniform(*cfg.curvature_range)
+    base = dict(centerline_x_coeffs=(x0, 0.0, curv), lane_width=cfg.lane_width,
+                num_boundaries=cfg.num_boundaries, y_start=cfg.y_start, y_end=cfg.y_end,
+                y_step=cfg.y_step, camera=cfg.camera)
+    if rng.uniform() < cfg.flat_fraction:
         return RoadSpec(height_profile=(0.0,), **base)
-    hill = {**DEFAULT_GENERATOR["hill"], **cfg.get("hill", {})}
+    hill = cfg.hill
     for _ in range(100):
-        profile = HillProfile(start_y=rng.uniform(*hill["start_y_range"]),
-                              length=rng.uniform(*hill["length_range"]),
-                              peak_z=rng.uniform(*hill["peak_z_range"]))
+        profile = HillProfile(start_y=rng.uniform(*hill.start_y_range),
+                              length=rng.uniform(*hill.length_range),
+                              peak_z=rng.uniform(*hill.peak_z_range))
         spec = RoadSpec(height_profile=profile, **base)
-        if _flat_step_ok(spec, float(cfg["min_flat_step"])):
+        if _flat_step_ok(spec, cfg.min_flat_step):
             return spec
     return RoadSpec(height_profile=(0.0,), **base)
 
 
-def _unknown_keys(config, defaults: dict, where: str) -> list[str]:
-    """Dotted paths of the keys in config that defaults does not have, at the
-    top level and inside every nested object of defaults that config gives."""
-    if not isinstance(config, dict):
-        raise InvalidInput(f"generator config: {where or 'the config'} must be a JSON object")
-    prefix = f"{where}." if where else ""
-    unknown = [prefix + key for key in sorted(set(config) - set(defaults))]
-    for key, default in defaults.items():
-        if isinstance(default, dict) and key in config:
-            unknown += _unknown_keys(config[key], default, prefix + key)
-    return unknown
-
-
-def _check_generator_keys(config: dict) -> None:
-    """Reject keys the generator does not read, at the top level and under
-    'hill', 'camera' and 'camera.intrinsics', so a misspelled key fails
-    instead of silently keeping its default."""
-    unknown = _unknown_keys(config, DEFAULT_GENERATOR, "")
-    if unknown:
-        raise InvalidInput(f"generator config: unknown keys: {', '.join(unknown)}")
-
-
 def generate_scenes(config: dict, count: int, seed: int) -> list[Scene]:
-    """Deterministically generate `count` scenes from a generator config."""
-    _check_generator_keys(config)
+    """Deterministically generate `count` scenes from a generator config
+    (the JSON form of GeneratorConfig)."""
+    cfg = GeneratorConfig.from_dict(config)
     scenes = []
     for i in range(count):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        spec = sample_road_spec(config, rng)
-        scenes.append(generate_scene(spec, seed=i, frame_id=f"synth_{seed}_{i:05d}"))
+        scenes.append(generate_scene(sample_road_spec(cfg, rng), seed=i,
+                                     frame_id=f"synth_{seed}_{i:05d}"))
     return scenes

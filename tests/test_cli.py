@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,14 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lane3d
-from lane3d.cli import main
+from lane3d.augment import AugmentConfig
+from lane3d.cli import _reconstruct_config, main
+from lane3d.evaluate import MatchConfig
 from lane3d.model import (CameraPose, Intrinsics, Lane2D, Lane3D, Scene,
                           read_flat_frames, read_scenes, write_flat_frames,
                           write_scenes)
+from lane3d.reconstruct import SolveOptions
+from lane3d.synth import GeneratorConfig
 
 CONFIGS = "configs"
 
@@ -104,13 +109,13 @@ def test_project_then_reconstruct_flat(tmp_path):
 
 
 EDGE_CASES = ("one_point", "no_lanes", "coincident", "huge", "below_camera", "negative_y")
+EDGE_POSE = CameraPose(height_m=1.78, pitch_rad=0.0,
+                       intrinsics=Intrinsics(1000.0, 1000.0, 960.0, 540.0, 1920, 1080))
 
 
 @st.composite
 def edge_scenes(draw):
     """Frames of two straight boundaries, each bent by one edge case."""
-    pose = CameraPose(height_m=1.78, pitch_rad=0.0,
-                      intrinsics=Intrinsics(1000.0, 1000.0, 960.0, 540.0, 1920, 1080))
     scenes = []
     for k, case in enumerate(draw(st.lists(st.sampled_from(EDGE_CASES), min_size=1, max_size=3))):
         n = 1 if case == "one_point" else draw(st.integers(2, 6))
@@ -122,17 +127,22 @@ def edge_scenes(draw):
             sign = -1.0 if axis == 2 else draw(st.sampled_from([-1.0, 1.0]))
             pts[:, axis] = np.linspace(-1e300, 1e300, n) if axis == 1 else sign * 1e300
         elif case == "below_camera":
-            pts[:, 2] = pose.height_m - 1e-9
+            pts[:, 2] = EDGE_POSE.height_m - 1e-9
         elif case == "negative_y":
             pts[:, 1] -= 100.0
         lanes = [Lane3D(id=lane_id, points=pts + [dx, 0.0, 0.0], visibility=np.ones(n, int))
                  for lane_id, dx in (("a", 0.0), ("b", width))]
-        scenes.append(Scene(frame_id=f"{case}_{k}", camera=pose,
+        scenes.append(Scene(frame_id=f"{case}_{k}", camera=EDGE_POSE,
                             lanes=[] if case == "no_lanes" else lanes))
     return scenes
 
 
 @given(edge_scenes())
+# one lane at x = 1e17, where a +-0.5 m widening of the collapsed x range
+# rounds away and used to scale every x to nan
+@example([Scene(frame_id="far_x", camera=EDGE_POSE,
+                lanes=[Lane3D(id="a", points=[[1e17, 5.0, 0.0], [1e17, 9.0, 0.0]],
+                              visibility=[1, 1])])])
 @settings(max_examples=30, deadline=None)
 def test_edge_cases_exit_0_or_2_at_every_stage(tmp_path_factory, scenes):
     d = tmp_path_factory.mktemp("edge")
@@ -148,6 +158,7 @@ def test_edge_cases_exit_0_or_2_at_every_stage(tmp_path_factory, scenes):
     if report.exists():
         codes.append(run(["plot", "--in", report, "--out", d / "figures"]))
     assert set(codes) <= {0, 2}
+    assert not [svg.name for svg in d.glob("figures/*.svg") if "nan" in svg.read_text()]
 
 
 def test_reconstruct_single_boundary_status(tmp_path, simple_scene, pose):
@@ -224,6 +235,25 @@ def test_frame_id_that_is_not_a_plain_name_exit_2(tmp_path, frame_id):
     assert [p.name for p in tmp_path.rglob("*escaped*")] == []
 
 
+def test_shipped_configs_parse_to_the_code_defaults():
+    """Each shipped config parses with its stage's parser; the *_default.json
+    files equal the code defaults, so the two cannot drift apart."""
+    yaw_only = dataclasses.replace(AugmentConfig(), pitch_range=(0.0, 0.0),
+                                   roll_range=(0.0, 0.0), p_pitch=0.0, p_roll=0.0, p_yaw=1.0)
+    expected = {
+        "generate_default.json": (GeneratorConfig.from_dict, GeneratorConfig()),
+        "augment_default.json": (AugmentConfig.from_dict, AugmentConfig()),
+        "augment_yaw_only.json": (AugmentConfig.from_dict, yaw_only),
+        "reconstruct_default.json": (_reconstruct_config, (SolveOptions(), None)),
+        "evaluate_default.json": (MatchConfig.from_dict, MatchConfig()),
+    }
+    paths = sorted(Path(CONFIGS).glob("*.json"))
+    assert [p.name for p in paths] == sorted(expected)
+    for path in paths:
+        parse, default = expected[path.name]
+        assert parse(json.loads(path.read_text())) == default, path.name
+
+
 def test_misspelled_config_key_exit_2(tmp_path, capsys):
     gen = tmp_path / "gen.json"
     camera = json.loads((Path(CONFIGS) / "generate_default.json").read_text())["camera"]
@@ -233,8 +263,15 @@ def test_misspelled_config_key_exit_2(tmp_path, capsys):
                         ({"camera": {**camera, "intrinsics": {**camera["intrinsics"],
                                                               "skew": 0.0}}},
                          "camera.intrinsics.skew"),
-                        ([["lane_width", 5.0]], "must be a JSON object")]:
-        gen.write_text(json.dumps(config))
+                        ([["lane_width", 5.0]], "must be a JSON object"),
+                        # bad values: each names its field
+                        ({"num_boundaries": 2.7}, "num_boundaries must be an integer"),
+                        ({"lane_width": "3.5"}, "lane_width must be a number"),
+                        ({"min_flat_step": "1"}, "min_flat_step must be a number"),
+                        ({"x_offset_range": [1.0]}, "x_offset_range must be [lo, hi]"),
+                        ({"flat_fraction": 1.5}, "flat_fraction must be within [0, 1]"),
+                        ('{"curvature_range": [0, 1e400]}', "curvature_range must be finite")]:
+        gen.write_text(config if isinstance(config, str) else json.dumps(config))
         assert run(["generate", "--count", 0, "--config", gen,
                     "--out", tmp_path / "gen.jsonl"]) == 2
         assert key in capsys.readouterr().err

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from lane3d.errors import InvariantViolation, SpecError
+from lane3d.errors import InvalidInput, InvariantViolation, SpecError
 from lane3d.model import Lane3D
 from lane3d.projection import (lift_from_virtual_top_xy, project_virtual_top_xy,
                                resample_flat)
-from lane3d.synth import HillProfile, RoadSpec, generate_scene, generate_scenes
+from lane3d.synth import (GeneratorConfig, HillProfile, HillRanges, RoadSpec, generate_scene,
+                          generate_scenes)
 
 from conftest import H_CAM, straight_lane
 
@@ -131,3 +134,18 @@ def test_generate_scenes_deterministic():
     assert a != c
     ids = [s.frame_id for s in a]
     assert len(set(ids)) == 5
+
+
+def test_generator_config_sections_keep_the_defaults_they_omit():
+    cfg = GeneratorConfig.from_dict({"camera": {"pitch_rad": 0.02},
+                                     "hill": {"peak_z_range": [0.1, 0.2]}})
+    assert cfg.camera == replace(GeneratorConfig().camera, pitch_rad=0.02)
+    assert cfg.hill == HillRanges(peak_z_range=(0.1, 0.2))
+    assert generate_scenes({"camera": {"pitch_rad": 0.02}}, 1, seed=0)[0].camera == cfg.camera
+    for bad, name in [({"x_offset_range": (2.0, 1.0)}, "x_offset_range"),
+                      ({"curvature_range": (0.0, 0.1, 0.2)}, "curvature_range"),
+                      ({"flat_fraction": -0.1}, "flat_fraction")]:
+        with pytest.raises(InvalidInput, match=name):
+            GeneratorConfig(**bad)
+    with pytest.raises(InvalidInput, match="length_range"):
+        HillRanges(length_range=(1.0,))
