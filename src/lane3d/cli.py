@@ -125,12 +125,8 @@ def cmd_reconstruct(args) -> int:
 
     def solve(frame: FlatFrame) -> Scene:
         if args.h_cam is not None:
-            frame = FlatFrame(frame_id=frame.frame_id,
-                              camera=model.CameraPose(
-                                  height_m=args.h_cam,
-                                  pitch_rad=frame.camera.pitch_rad,
-                                  intrinsics=frame.camera.intrinsics),
-                              lanes=frame.lanes)
+            frame = dataclasses.replace(
+                frame, camera=dataclasses.replace(frame.camera, height_m=args.h_cam))
         result = solve_frame(frame.lanes, frame.camera.height_m, opts)
         stops.update(result.stops)
         if trace_dir is not None:

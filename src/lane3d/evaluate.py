@@ -514,13 +514,9 @@ def joint_offset_errors(reports: list[EvalReport]) -> list[JointErrors]:
     for rep in reports:
         stats = [s for fb in rep.per_frame for s in fb.pair_stats
                  if (s.frame_id, s.gt_id) in common]
-        xf = sum(s.x_far_sum for s in stats)
-        zf = sum(s.z_far_sum for s in stats)
-        cf = sum(s.far_count for s in stats)
-        out.append(JointErrors(x_far=xf / cf if cf else 0.0,
-                               z_far=zf / cf if cf else 0.0,
-                               pair_count=len(stats),
-                               empty_intersection=not common))
+        errors = compute_offset_errors(stats)
+        out.append(JointErrors(x_far=errors.x_far, z_far=errors.z_far,
+                               pair_count=len(stats), empty_intersection=not common))
     return out
 
 

@@ -60,6 +60,8 @@ def _coerce(name: str, default, value):
         return replace(default, **{key: _coerce(f"{name}.{key}", getattr(default, key), v)
                                    for key, v in value.items()})
     if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise InvalidInput(f"{name} must be a JSON list, got {value!r}")
         return tuple(_coerce(name, 0.0, v) for v in value)
     if not isinstance(default, (float, int)):
         return value
@@ -184,34 +186,6 @@ class Lane2D(_Lane):
     _dim = 2
 
 
-def _check_metadata(metadata: dict, owner: str) -> None:
-    for k, v in metadata.items():
-        _require(isinstance(k, str) and isinstance(v, str),
-                 f"{owner}: metadata must map str to str")
-
-
-@dataclass(eq=False)
-class Scene:
-    """One frame: camera pose plus ground-truth 3D lane boundaries."""
-
-    frame_id: str
-    camera: CameraPose
-    lanes: list[Lane3D]
-    metadata: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self):
-        _require(bool(self.frame_id), "frame_id must be nonempty")
-        ids = [lane.id for lane in self.lanes]
-        _require(len(set(ids)) == len(ids),
-                 f"scene '{self.frame_id}': lane ids must be unique")
-        _check_metadata(self.metadata, f"scene '{self.frame_id}'")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Scene) and self.frame_id == other.frame_id
-                and self.camera == other.camera and self.lanes == other.lanes
-                and self.metadata == other.metadata)
-
-
 @dataclass
 class PairMap:
     """Matched point indices between two lane boundaries, keyed on the
@@ -233,48 +207,6 @@ class PairMap:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-
-@dataclass(eq=False)
-class Prediction:
-    """Predicted lanes for one frame, each with a probability."""
-
-    frame_id: str
-    camera: CameraPose
-    lanes: list[Lane3D]
-    probs: list[float]
-
-    def __post_init__(self):
-        _require(bool(self.frame_id), "frame_id must be nonempty")
-        _require(len(self.probs) == len(self.lanes),
-                 f"prediction '{self.frame_id}': one prob per lane required")
-        _require(all(0.0 <= p <= 1.0 for p in self.probs),
-                 f"prediction '{self.frame_id}': probs must be within [0, 1]")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Prediction) and self.frame_id == other.frame_id
-                and self.camera == other.camera and self.lanes == other.lanes
-                and self.probs == other.probs)
-
-
-@dataclass(eq=False)
-class FlatFrame:
-    """Flat-ground (virtual top view) lanes for one frame; the input format
-    of the 2D-to-3D reconstruction stage."""
-
-    frame_id: str
-    camera: CameraPose
-    lanes: list[Lane2D]
-
-    def __post_init__(self):
-        _require(bool(self.frame_id), "frame_id must be nonempty")
-        ids = [lane.id for lane in self.lanes]
-        _require(len(set(ids)) == len(ids),
-                 f"frame '{self.frame_id}': lane ids must be unique")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FlatFrame) and self.frame_id == other.frame_id
-                and self.camera == other.camera and self.lanes == other.lanes)
 
 
 # ---------------------------------------------------------------------------
@@ -340,64 +272,109 @@ def _lane_from_dict(cls, d: dict) -> _Lane:
     return cls(id=lane_id, points=points.reshape(-1, dim), visibility=vis)
 
 
-def scene_to_dict(scene: Scene) -> dict:
-    return {
-        "frame_id": scene.frame_id,
-        "camera": camera_to_dict(scene.camera),
-        "lanes": [_lane_to_dict(lane) for lane in scene.lanes],
-        "metadata": {k: scene.metadata[k] for k in sorted(scene.metadata)},
-    }
+@dataclass(eq=False)
+class _Frame:
+    """One frame: a camera pose and its lane boundaries, the record of every
+    JSONL file. Subclasses fix the lane type and add their own fields, which
+    the JSON form writes after frame_id, camera and lanes."""
+
+    frame_id: str
+    camera: CameraPose
+    lanes: list
+
+    _lane_type = Lane3D
+
+    def __post_init__(self):
+        _require(bool(self.frame_id), "frame_id must be nonempty")
+        ids = [lane.id for lane in self.lanes]
+        _require(len(set(ids)) == len(ids),
+                 f"frame '{self.frame_id}': lane ids must be unique")
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and all(
+            getattr(self, f.name) == getattr(other, f.name) for f in fields(self))
+
+    def to_dict(self) -> dict:
+        return {
+            "frame_id": self.frame_id,
+            "camera": camera_to_dict(self.camera),
+            "lanes": [_lane_to_dict(lane) for lane in self.lanes],
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        return cls(frame_id=d["frame_id"], camera=camera_from_dict(d["camera"]),
+                   lanes=[_lane_from_dict(cls._lane_type, ld) for ld in d["lanes"]],
+                   **cls._extras_from_dict(d))
+
+    @classmethod
+    def _extras_from_dict(cls, d: dict) -> dict:
+        return {}
 
 
-def scene_from_dict(d: dict) -> Scene:
-    return Scene(
-        frame_id=d["frame_id"],
-        camera=camera_from_dict(d["camera"]),
-        lanes=[_lane_from_dict(Lane3D, ld) for ld in d["lanes"]],
-        metadata=dict(d.get("metadata", {})),
-    )
+@dataclass(eq=False)
+class Scene(_Frame):
+    """One frame: camera pose plus ground-truth 3D lane boundaries."""
+
+    metadata: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require(all(isinstance(k, str) and isinstance(v, str)
+                     for k, v in self.metadata.items()),
+                 f"scene '{self.frame_id}': metadata must map str to str")
+
+    def to_dict(self) -> dict:
+        doc = super().to_dict()
+        doc["metadata"] = {k: self.metadata[k] for k in sorted(self.metadata)}
+        return doc
+
+    @classmethod
+    def _extras_from_dict(cls, d: dict) -> dict:
+        return {"metadata": dict(d.get("metadata", {}))}
 
 
-def prediction_to_dict(pred: Prediction) -> dict:
-    return {
-        "frame_id": pred.frame_id,
-        "camera": camera_to_dict(pred.camera),
-        "lanes": [
-            {**_lane_to_dict(lane), "prob": float(p)}
-            for lane, p in zip(pred.lanes, pred.probs)
-        ],
-    }
+@dataclass(eq=False)
+class Prediction(_Frame):
+    """Predicted lanes for one frame, each with a probability."""
+
+    probs: list[float]
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require(len(self.probs) == len(self.lanes),
+                 f"prediction '{self.frame_id}': one prob per lane required")
+        _require(all(0.0 <= p <= 1.0 for p in self.probs),
+                 f"prediction '{self.frame_id}': probs must be within [0, 1]")
+
+    def to_dict(self) -> dict:
+        doc = super().to_dict()
+        for lane, p in zip(doc["lanes"], self.probs):
+            lane["prob"] = float(p)
+        return doc
+
+    @classmethod
+    def _extras_from_dict(cls, d: dict) -> dict:
+        return {"probs": [_coerce(f"lane {ld['id']!r} prob", 0.0, ld.get("prob", 1.0))
+                          for ld in d["lanes"]]}
 
 
-def prediction_from_dict(d: dict) -> Prediction:
-    lanes = [_lane_from_dict(Lane3D, ld) for ld in d["lanes"]]
-    probs = [_coerce(f"lane {ld['id']!r} prob", 0.0, ld.get("prob", 1.0))
-             for ld in d["lanes"]]
-    return Prediction(frame_id=d["frame_id"], camera=camera_from_dict(d["camera"]),
-                      lanes=lanes, probs=probs)
+@dataclass(eq=False)
+class FlatFrame(_Frame):
+    """Flat-ground (virtual top view) lanes for one frame; the input format
+    of the 2D-to-3D reconstruction stage."""
+
+    _lane_type = Lane2D
 
 
-def flat_frame_to_dict(frame: FlatFrame) -> dict:
-    return {
-        "frame_id": frame.frame_id,
-        "camera": camera_to_dict(frame.camera),
-        "lanes": [_lane_to_dict(lane) for lane in frame.lanes],
-    }
+# The readers look these up when called, so a caller may wrap them.
+scene_from_dict = Scene.from_dict
+prediction_from_dict = Prediction.from_dict
+flat_frame_from_dict = FlatFrame.from_dict
 
-
-def flat_frame_from_dict(d: dict) -> FlatFrame:
-    lanes = [_lane_from_dict(Lane2D, ld) for ld in d["lanes"]]
-    return FlatFrame(frame_id=d["frame_id"], camera=camera_from_dict(d["camera"]),
-                     lanes=lanes)
-
-
-# Every record is a fresh tree built by a *_to_dict function, so the
+# Every record is a fresh tree built by a to_dict method, so the
 # encoder skips the cycle bookkeeping it would do per container.
 _CANONICAL = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False)
-
-
-def dumps_canonical(obj: dict) -> str:
-    return _CANONICAL.encode(obj)
 
 
 def _read_jsonl(path, from_dict):
@@ -420,11 +397,15 @@ def _read_jsonl(path, from_dict):
     return out
 
 
-def _write_jsonl(records, path, to_dict) -> None:
+def _write_jsonl(records, path) -> None:
+    """Write frames in canonical JSONL form (bit-exact round trips)."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(dumps_canonical(to_dict(rec)))
+            fh.write(_CANONICAL.encode(rec.to_dict()))
             fh.write("\n")
+
+
+write_scenes = write_predictions = write_flat_frames = _write_jsonl
 
 
 def read_scenes(path) -> list[Scene]:
@@ -432,23 +413,10 @@ def read_scenes(path) -> list[Scene]:
     return _read_jsonl(path, scene_from_dict)
 
 
-def write_scenes(scenes, path) -> None:
-    """Write scenes in canonical JSONL form (bit-exact round trips)."""
-    _write_jsonl(scenes, path, scene_to_dict)
-
-
 def read_predictions(path) -> list[Prediction]:
     """Read a prediction JSONL file; lanes without "prob" default to 1."""
     return _read_jsonl(path, prediction_from_dict)
 
 
-def write_predictions(preds, path) -> None:
-    _write_jsonl(preds, path, prediction_to_dict)
-
-
 def read_flat_frames(path) -> list[FlatFrame]:
     return _read_jsonl(path, flat_frame_from_dict)
-
-
-def write_flat_frames(frames, path) -> None:
-    _write_jsonl(frames, path, flat_frame_to_dict)

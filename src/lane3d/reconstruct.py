@@ -81,7 +81,6 @@ class _PairContext:
     i_idx: np.ndarray       # matched indices into the left boundary
     j_idx: np.ndarray       # matched indices into the right boundary
     n_left: int
-    n_right: int
     c_hat: float
     h_cam: float
     lambda_geo: float
@@ -143,8 +142,6 @@ def _fill_unmatched(n: int, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
 class PairSolve:
     z_left: np.ndarray
     z_right: np.ndarray
-    i_idx: np.ndarray
-    j_idx: np.ndarray
     c_hat: float
     objective: float
     iters: int
@@ -179,9 +176,8 @@ def prepare_pair(left: Lane2D, right: Lane2D, h_cam: float,
     c_hat = float(np.median(d_flat[:_NEAR_RANGE_PAIRS]))
 
     z0 = closed_form_heights(d_flat, c_hat, h_cam)
-    ctx = _PairContext(
-        a=a, b=b, i_idx=i_idx, j_idx=j_idx, n_left=len(left), n_right=len(right),
-        c_hat=c_hat, h_cam=h_cam, lambda_geo=opts.lambda_geo)
+    ctx = _PairContext(a=a, b=b, i_idx=i_idx, j_idx=j_idx, n_left=len(left), c_hat=c_hat,
+                       h_cam=h_cam, lambda_geo=opts.lambda_geo)
     z_init = np.concatenate([_fill_unmatched(len(left), i_idx, z0),
                              _fill_unmatched(len(right), j_idx, z0)])
     return ctx, z_init
@@ -193,8 +189,6 @@ def solve_boundary_pair(left: Lane2D, right: Lane2D, h_cam: float,
     rejects the pair. The result's stop field says which rule ended the
     descent (see the module docstring)."""
     ctx, z = prepare_pair(left, right, h_cam, opts)
-    i_idx, j_idx = ctx.i_idx, ctx.j_idx
-    c_hat = ctx.c_hat
 
     value, grad = pair_objective(z, ctx)
     step = opts.step
@@ -239,9 +233,8 @@ def solve_boundary_pair(left: Lane2D, right: Lane2D, h_cam: float,
     clamped_left = bool(np.any(zl > limit))
     clamped_right = bool(np.any(zr > limit))
     return PairSolve(z_left=np.minimum(zl, limit), z_right=np.minimum(zr, limit),
-                     i_idx=i_idx, j_idx=j_idx, c_hat=c_hat, objective=value,
-                     iters=iters, stop=stop, clamped_left=clamped_left,
-                     clamped_right=clamped_right, trace=trace)
+                     c_hat=ctx.c_hat, objective=value, iters=iters, stop=stop,
+                     clamped_left=clamped_left, clamped_right=clamped_right, trace=trace)
 
 
 @dataclass

@@ -67,7 +67,10 @@ class RoadSpec:
             raise SpecError("y_start must be below y_end")
         if self.y_step <= 0:
             raise SpecError("y_step must be positive")
-        if np.max(self.z_at(self.y_grid())) >= self.camera.height_m:
+        ys = self.y_grid()
+        if len(ys) < 2:
+            raise SpecError("the y grid needs at least two points")
+        if np.max(self.z_at(ys)) >= self.camera.height_m:
             raise SpecError("height profile must stay below the camera height")
 
     def y_grid(self) -> np.ndarray:
@@ -154,6 +157,14 @@ class GeneratorConfig(Config):
         check_range("curvature_range", self.curvature_range)
         if not 0.0 <= self.flat_fraction <= 1.0:
             raise InvalidInput("flat_fraction must be within [0, 1]")
+        self.road()
+
+    def road(self, **drawn) -> RoadSpec:
+        """The road spec of the fields every scene shares plus the drawn ones;
+        __post_init__ builds one, so the config carries RoadSpec's checks."""
+        return RoadSpec(lane_width=self.lane_width, num_boundaries=self.num_boundaries,
+                        y_start=self.y_start, y_end=self.y_end, y_step=self.y_step,
+                        camera=self.camera, **drawn)
 
 
 def _flat_step_ok(spec: RoadSpec, min_step: float) -> bool:
@@ -162,10 +173,7 @@ def _flat_step_ok(spec: RoadSpec, min_step: float) -> bool:
     actually folds); below about half the lane width the windowed point
     matcher loses its footing. Reject such draws."""
     ys = spec.y_grid()
-    z = spec.z_at(ys)
-    if np.max(z) >= spec.camera.height_m:
-        return False
-    flat_y = ys * spec.camera.height_m / (spec.camera.height_m - z)
+    flat_y = ys * spec.camera.height_m / (spec.camera.height_m - spec.z_at(ys))
     return bool(np.min(np.diff(flat_y)) >= min_step)
 
 
@@ -174,20 +182,18 @@ def sample_road_spec(cfg: GeneratorConfig, rng: np.random.Generator) -> RoadSpec
     profiles whose flat projection would be too compressed."""
     x0 = rng.uniform(*cfg.x_offset_range)
     curv = rng.uniform(*cfg.curvature_range)
-    base = dict(centerline_x_coeffs=(x0, 0.0, curv), lane_width=cfg.lane_width,
-                num_boundaries=cfg.num_boundaries, y_start=cfg.y_start, y_end=cfg.y_end,
-                y_step=cfg.y_step, camera=cfg.camera)
+    centerline = (x0, 0.0, curv)
     if rng.uniform() < cfg.flat_fraction:
-        return RoadSpec(height_profile=(0.0,), **base)
+        return cfg.road(centerline_x_coeffs=centerline)
     hill = cfg.hill
     for _ in range(100):
         profile = HillProfile(start_y=rng.uniform(*hill.start_y_range),
                               length=rng.uniform(*hill.length_range),
                               peak_z=rng.uniform(*hill.peak_z_range))
-        spec = RoadSpec(height_profile=profile, **base)
+        spec = cfg.road(centerline_x_coeffs=centerline, height_profile=profile)
         if _flat_step_ok(spec, cfg.min_flat_step):
             return spec
-    return RoadSpec(height_profile=(0.0,), **base)
+    return cfg.road(centerline_x_coeffs=centerline)
 
 
 def generate_scenes(config: dict, count: int, seed: int) -> list[Scene]:

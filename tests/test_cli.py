@@ -269,8 +269,12 @@ def test_misspelled_config_key_exit_2(tmp_path, capsys):
                         ({"lane_width": "3.5"}, "lane_width must be a number"),
                         ({"min_flat_step": "1"}, "min_flat_step must be a number"),
                         ({"x_offset_range": [1.0]}, "x_offset_range must be [lo, hi]"),
+                        ({"x_offset_range": 5}, "x_offset_range must be a JSON list"),
                         ({"flat_fraction": 1.5}, "flat_fraction must be within [0, 1]"),
-                        ('{"curvature_range": [0, 1e400]}', "curvature_range must be finite")]:
+                        ('{"curvature_range": [0, 1e400]}', "curvature_range must be finite"),
+                        # values the road spec rejects fail at parse time, before any draw
+                        ({"lane_width": -1}, "lane_width must be positive"),
+                        ({"y_end": 4.0, "flat_fraction": 0.0}, "y grid needs at least two points")]:
         gen.write_text(config if isinstance(config, str) else json.dumps(config))
         assert run(["generate", "--count", 0, "--config", gen,
                     "--out", tmp_path / "gen.jsonl"]) == 2
@@ -283,10 +287,12 @@ def test_misspelled_config_key_exit_2(tmp_path, capsys):
                 "--out", tmp_path / "aug.jsonl"]) == 2
     assert "p_yew" in capsys.readouterr().err
     ev = tmp_path / "ev.json"
-    ev.write_text(json.dumps({"point_tolerence": 0.5}))
-    assert run(["evaluate", scenes, scenes, "--config", ev,
-                "--out", tmp_path / "report.json"]) == 2
-    assert "point_tolerence" in capsys.readouterr().err
+    for config, message in [({"point_tolerence": 0.5}, "point_tolerence"),
+                            ({"eval_y_refs": 5}, "eval_y_refs must be a JSON list")]:
+        ev.write_text(json.dumps(config))
+        assert run(["evaluate", scenes, scenes, "--config", ev,
+                    "--out", tmp_path / "report.json"]) == 2
+        assert message in capsys.readouterr().err
     flat = tmp_path / "flat.jsonl"
     assert run(["project", "--in", scenes, "--out", flat]) == 0
     rec = tmp_path / "rec.json"
@@ -362,6 +368,18 @@ def test_evaluate_frame_mismatch_exit_2(tmp_path, capsys):
     report = tmp_path / "report.json"
     assert run(["evaluate", a, b, "--out", report]) == 2
     assert "synth_8_00002" in capsys.readouterr().err
+
+
+def test_evaluate_prediction_with_duplicate_lane_ids_exit_2(tmp_path, capsys):
+    gt = tmp_path / "gt.jsonl"
+    run(["generate", "--count", 2, "--seed", 8, "--out", gt])
+    docs = [json.loads(line) for line in gt.read_text().splitlines()]
+    docs[1]["lanes"][1]["id"] = docs[1]["lanes"][0]["id"]
+    pred = tmp_path / "pred.jsonl"
+    pred.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    assert run(["evaluate", gt, pred, "--out", tmp_path / "report.json"]) == 2
+    assert "pred.jsonl:2: frame 'synth_8_00001': lane ids must be unique" \
+        in capsys.readouterr().err
 
 
 def test_plot_empty_scene_list(tmp_path):

@@ -57,6 +57,8 @@ def test_scene_unique_lane_ids(pose):
     lane = straight_lane("dup", 0.0, [1.0, 2.0])
     with pytest.raises(InvariantViolation, match="unique"):
         Scene(frame_id="f", camera=pose, lanes=[lane, lane])
+    with pytest.raises(InvariantViolation, match="frame 'f': lane ids must be unique"):
+        Prediction(frame_id="f", camera=pose, lanes=[lane, lane], probs=[0.5, 0.5])
 
 
 def test_pairmap_nondecreasing_values():
@@ -124,8 +126,7 @@ def test_read_reports_line_number_on_bad_json(tmp_path, simple_scene):
 
 
 def test_read_rejects_non_monotone_lane_naming_it(tmp_path, simple_scene):
-    from lane3d.model import scene_to_dict
-    doc = scene_to_dict(simple_scene)
+    doc = simple_scene.to_dict()
     doc["lanes"][0]["points"][1][1] = -50.0   # break monotonicity of lane "left"
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(doc) + "\n")
@@ -151,7 +152,7 @@ def test_read_rejects_non_monotone_lane_naming_it(tmp_path, simple_scene):
         with pytest.raises(InvariantViolation, match=f"bad.jsonl:1: lane 'left': .*{message}"):
             read_scenes(path)
     # boolean visibility flags name the lane too; 0/1 numbers are the format
-    doc = scene_to_dict(simple_scene)
+    doc = simple_scene.to_dict()
     n = len(doc["lanes"][0]["points"])
     for flags in ([True] * n, [1] * (n - 1) + [False], ["1"] * n):
         doc["lanes"][0]["visibility"] = flags
@@ -187,6 +188,9 @@ def test_prediction_round_trip(tmp_path, simple_scene):
     write_predictions([pred], path)
     back = read_predictions(path)
     assert back == [pred]
+    # equality is per record kind: a scene of the same frame is not this prediction
+    scene = Scene(frame_id=pred.frame_id, camera=pred.camera, lanes=pred.lanes)
+    assert scene != pred and pred != scene
     # a legacy "anchors" block is ignored, as any other unknown record key is
     doc = json.loads(path.read_text())
     doc["anchors"] = {"y_refs": [5.0, 10.0], "anchors": [

@@ -256,7 +256,7 @@ def test_batched_objective_rows_equal_single_calls():
     assert len(ctx_long.i_idx) > 8
     ctx_short = _PairContext(
         a=np.array([[0.0, 5.0], [0.1, 9.0]]), b=np.array([[3.5, 5.2], [3.4, 9.1]]),
-        i_idx=np.array([0, 1]), j_idx=np.array([1, 3]), n_left=2, n_right=5,
+        i_idx=np.array([0, 1]), j_idx=np.array([1, 3]), n_left=2,
         c_hat=3.5, h_cam=H_CAM, lambda_geo=1e-2)
     cases = [(ctx_long, z_long), (ctx_short, np.zeros(7)),
              (dataclasses.replace(ctx_long, lambda_geo=0.0), z_long)]

@@ -55,6 +55,8 @@ def test_spec_errors_named():
         RoadSpec(lane_width=0.0)
     with pytest.raises(SpecError, match="y_start"):
         RoadSpec(y_start=50.0, y_end=10.0)
+    with pytest.raises(SpecError, match="y grid needs at least two points"):
+        RoadSpec(y_start=3.0, y_end=4.0, y_step=4.0)
     with pytest.raises(SpecError, match="camera height"):
         RoadSpec(height_profile=HillProfile(start_y=20.0, length=40.0, peak_z=2.0))
 
