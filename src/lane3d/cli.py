@@ -180,10 +180,26 @@ def cmd_evaluate(args) -> int:
 
 
 def _looks_like_report(path) -> bool:
+    """Whether path holds a report (one JSON object with per_frame) rather
+    than scene JSONL. A first line that parses as a whole object decides
+    it, so JSONL is read no further than that line: it is a report only
+    with per_frame and nothing after it. The whole file is parsed only when
+    the first line does not parse (an indented report, not JSON) or when a
+    report line is followed by more."""
     with open(path, "r", encoding="utf-8") as fh:
         head = fh.read(1).strip()
         if head != "{":
             return False
+        fh.seek(0)
+        try:
+            first = json.loads(fh.readline())
+        except json.JSONDecodeError:
+            pass
+        else:
+            if "per_frame" not in first:
+                return False
+            if not fh.readline():
+                return True
         fh.seek(0)
         try:
             doc = json.load(fh)

@@ -131,7 +131,7 @@ def _as_visibility(arr, n: int, lane_id: str) -> np.ndarray:
     # check before casting so fractional flags fail instead of truncating
     _require(bool(((vis == 0) | (vis == 1)).all()),
              f"lane '{lane_id}': visibility flags must be 0 or 1")
-    return vis.astype(int)
+    return vis.astype(np.uint8, copy=False)
 
 
 def _check_monotone_y(y: np.ndarray, lane_id: str) -> None:
@@ -139,14 +139,15 @@ def _check_monotone_y(y: np.ndarray, lane_id: str) -> None:
              f"lane '{lane_id}': points must be strictly increasing in y")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Lane:
     """An ordered boundary polyline with visibility flags; subclasses fix the
-    point dimension."""
+    point dimension. Records are slotted: they hold their fields and no
+    per-instance __dict__."""
 
     id: str
-    points: np.ndarray       # (N, _dim) float
-    visibility: np.ndarray   # (N,) int in {0, 1}
+    points: np.ndarray       # (N, _dim) float64
+    visibility: np.ndarray   # (N,) uint8 in {0, 1}
 
     def __post_init__(self):
         _require(bool(self.id), "lane id must be nonempty")
@@ -169,6 +170,7 @@ class _Lane:
 class Lane3D(_Lane):
     """One lane boundary as an ordered 3D polyline with visibility flags."""
 
+    __slots__ = ()
     _dim = 3
 
     @property
@@ -183,6 +185,7 @@ class Lane3D(_Lane):
 class Lane2D(_Lane):
     """One lane boundary on the flat ground plane."""
 
+    __slots__ = ()
     _dim = 2
 
 
@@ -234,11 +237,40 @@ def _numbers(name: str, d: dict, defaults: dict) -> dict:
             for key, default in defaults.items()}
 
 
-def camera_from_dict(d: dict) -> CameraPose:
+def _parse_camera(d: dict) -> CameraPose:
     return CameraPose(
         **_numbers("camera", d, {"height_m": 0.0, "pitch_rad": 0.0}),
         intrinsics=Intrinsics(**_numbers("camera.intrinsics", d["intrinsics"], {
             "fx": 0.0, "fy": 0.0, "cx": 0.0, "cy": 0.0, "width_px": 0, "height_px": 0})))
+
+
+_CAMERA_CACHE_SIZE = 64
+_cameras: dict[tuple, CameraPose] = {}
+
+
+def camera_from_dict(d: dict) -> CameraPose:
+    """The camera of a JSON record. Every frame of a file usually shares one
+    camera, so each distinct camera is parsed once and the frozen CameraPose
+    shared, through a small cache keyed on the type and repr of all eight
+    fields: 1, 1.0 and true never share an entry, nor do 0.0 and -0.0, which
+    compare equal but write differently. A camera that fails its checks
+    raises before it is cached, and one the key cannot be built for (a
+    missing field, a record that is not an object) gets the uncached parse
+    and its error."""
+    try:
+        k = d["intrinsics"]
+        key = tuple((type(v), repr(v)) for v in (
+            d["height_m"], d["pitch_rad"], k["fx"], k["fy"], k["cx"], k["cy"],
+            k["width_px"], k["height_px"]))
+    except (KeyError, TypeError, ValueError):
+        return _parse_camera(d)
+    camera = _cameras.get(key)
+    if camera is None:
+        camera = _parse_camera(d)
+        if len(_cameras) >= _CAMERA_CACHE_SIZE:
+            _cameras.clear()
+        _cameras[key] = camera
+    return camera
 
 
 def _lane_to_dict(lane: _Lane) -> dict:
@@ -256,7 +288,9 @@ def _lane_from_dict(cls, d: dict) -> _Lane:
     """A lane from its JSON form. The rows go through one np.fromiter, which
     takes under half the time np.asarray takes on nested lists but does not
     see their shape, so the row shape is checked here first. Both would read
-    a string or a boolean as a number, so the value types are checked too."""
+    a string or a boolean as a number, so the value types are checked too.
+    The reshaped points are copied so that the lane owns one (N, dim) array
+    rather than a view of a flat one."""
     lane_id, rows, vis, dim = d["id"], d["points"], d["visibility"], cls._dim
     try:
         _require(set(map(type, rows)) <= {list} and set(map(len, rows)) <= {dim},
@@ -269,10 +303,10 @@ def _lane_from_dict(cls, d: dict) -> _Lane:
         raise InvariantViolation(f"lane '{lane_id}': points must be finite numbers") from e
     _require(not isinstance(vis, list) or set(map(type, vis)) <= _NUMBER_TYPES,
              f"lane '{lane_id}': visibility flags must be 0 or 1")
-    return cls(id=lane_id, points=points.reshape(-1, dim), visibility=vis)
+    return cls(id=lane_id, points=points.reshape(-1, dim).copy(), visibility=vis)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class _Frame:
     """One frame: a camera pose and its lane boundaries, the record of every
     JSONL file. Subclasses fix the lane type and add their own fields, which
@@ -312,20 +346,22 @@ class _Frame:
         return {}
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Scene(_Frame):
     """One frame: camera pose plus ground-truth 3D lane boundaries."""
 
     metadata: dict[str, str] = field(default_factory=dict)
 
+    # _Frame by name: slots=True builds a new class, which the cell that
+    # zero-argument super() reads does not see
     def __post_init__(self):
-        super().__post_init__()
+        _Frame.__post_init__(self)
         _require(all(isinstance(k, str) and isinstance(v, str)
                      for k, v in self.metadata.items()),
                  f"scene '{self.frame_id}': metadata must map str to str")
 
     def to_dict(self) -> dict:
-        doc = super().to_dict()
+        doc = _Frame.to_dict(self)
         doc["metadata"] = {k: self.metadata[k] for k in sorted(self.metadata)}
         return doc
 
@@ -334,21 +370,21 @@ class Scene(_Frame):
         return {"metadata": dict(d.get("metadata", {}))}
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Prediction(_Frame):
     """Predicted lanes for one frame, each with a probability."""
 
     probs: list[float]
 
     def __post_init__(self):
-        super().__post_init__()
+        _Frame.__post_init__(self)
         _require(len(self.probs) == len(self.lanes),
                  f"prediction '{self.frame_id}': one prob per lane required")
         _require(all(0.0 <= p <= 1.0 for p in self.probs),
                  f"prediction '{self.frame_id}': probs must be within [0, 1]")
 
     def to_dict(self) -> dict:
-        doc = super().to_dict()
+        doc = _Frame.to_dict(self)
         for lane, p in zip(doc["lanes"], self.probs):
             lane["prob"] = float(p)
         return doc
@@ -359,7 +395,7 @@ class Prediction(_Frame):
                           for ld in d["lanes"]]}
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class FlatFrame(_Frame):
     """Flat-ground (virtual top view) lanes for one frame; the input format
     of the 2D-to-3D reconstruction stage."""

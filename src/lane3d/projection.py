@@ -92,9 +92,9 @@ def project_front_view_points(points: np.ndarray, pose: CameraPose):
 
 def compute_visibility(points: np.ndarray, pose: CameraPose) -> np.ndarray:
     """1 where an (N, 3) ego point projects inside [0, width) x [0, height)
-    with positive depth, else 0."""
+    with positive depth, else 0, as uint8 (the dtype lanes hold flags in)."""
     uv, depth = project_front_view_points(points, pose)
     k = pose.intrinsics
     ok = (depth > 0) & (uv[:, 0] >= 0) & (uv[:, 0] < k.width_px) \
         & (uv[:, 1] >= 0) & (uv[:, 1] < k.height_px)
-    return ok.astype(int)
+    return ok.astype(np.uint8)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import lane3d
 from lane3d.augment import AugmentConfig
-from lane3d.cli import _reconstruct_config, main
+from lane3d.cli import _looks_like_report, _reconstruct_config, main
 from lane3d.evaluate import MatchConfig
 from lane3d.model import (CameraPose, Intrinsics, Lane2D, Lane3D, Scene,
                           read_flat_frames, read_scenes, write_flat_frames,
@@ -274,7 +275,9 @@ def test_misspelled_config_key_exit_2(tmp_path, capsys):
                         ('{"curvature_range": [0, 1e400]}', "curvature_range must be finite"),
                         # values the road spec rejects fail at parse time, before any draw
                         ({"lane_width": -1}, "lane_width must be positive"),
-                        ({"y_end": 4.0, "flat_fraction": 0.0}, "y grid needs at least two points")]:
+                        ({"y_end": 4.0, "flat_fraction": 0.0}, "y grid needs at least two points"),
+                        ({"hill": {"peak_z_range": [1.0, 2.0]}, "flat_fraction": 0.0},
+                         "GeneratorConfig.hill.peak_z_range must stay below the camera height")]:
         gen.write_text(config if isinstance(config, str) else json.dumps(config))
         assert run(["generate", "--count", 0, "--config", gen,
                     "--out", tmp_path / "gen.jsonl"]) == 2
@@ -430,6 +433,49 @@ def test_plot_report_chart(tmp_path, capsys):
         capsys.readouterr()
         assert run(["plot", "--in", bad, "--out", out_dir]) == 2
         assert "bad.json" in capsys.readouterr().err
+
+
+def test_plot_tells_report_from_jsonl_by_first_line(tmp_path):
+    scenes = tmp_path / "scenes.jsonl"
+    report = tmp_path / "report.json"
+    run(["generate", "--count", 2, "--seed", 11, "--out", scenes])
+    run(["evaluate", scenes, scenes, "--out", report])
+    one_line = json.dumps(json.loads(report.read_text()))
+    path = tmp_path / "input"
+    for text, expected in [(report.read_text(), True),        # indented report
+                           (one_line + "\n", True),
+                           (one_line + "\n" + one_line + "\n", False),
+                           (scenes.read_text(), False),
+                           ("", False),
+                           ("{not json\n", False),
+                           ("not json\n", False)]:
+        path.write_text(text)
+        assert _looks_like_report(path) is expected, text[:40]
+    # JSONL is told from its first line, not by parsing the whole file
+    line = scenes.read_text().splitlines()[0]
+    path.write_text((line + "\n") * (4_000_000 // len(line) + 1))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        assert _looks_like_report(path) is False
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size, (peak, size)
+
+
+def test_repeated_camera_with_bad_type_exit_2(tmp_path, capsys):
+    # height_m true equals the 1.0 of line 1, and must not reuse its camera
+    scenes = tmp_path / "scenes.jsonl"
+    run(["generate", "--count", 2, "--seed", 12, "--out", scenes])
+    first, second = scenes.read_text().splitlines()
+    assert '"height_m":1.78,' in first
+    scenes.write_text(first.replace('"height_m":1.78,', '"height_m":1.0,') + "\n"
+                      + second.replace('"height_m":1.78,', '"height_m":true,') + "\n")
+    capsys.readouterr()
+    assert run(["project", "--in", scenes, "--out", tmp_path / "flat.jsonl"]) == 2
+    assert "scenes.jsonl:2: camera.height_m must be a number, got True" \
+        in capsys.readouterr().err
 
 
 def test_usage_error_exit_1():
