@@ -237,40 +237,11 @@ def _numbers(name: str, d: dict, defaults: dict) -> dict:
             for key, default in defaults.items()}
 
 
-def _parse_camera(d: dict) -> CameraPose:
+def camera_from_dict(d: dict) -> CameraPose:
     return CameraPose(
         **_numbers("camera", d, {"height_m": 0.0, "pitch_rad": 0.0}),
         intrinsics=Intrinsics(**_numbers("camera.intrinsics", d["intrinsics"], {
             "fx": 0.0, "fy": 0.0, "cx": 0.0, "cy": 0.0, "width_px": 0, "height_px": 0})))
-
-
-_CAMERA_CACHE_SIZE = 64
-_cameras: dict[tuple, CameraPose] = {}
-
-
-def camera_from_dict(d: dict) -> CameraPose:
-    """The camera of a JSON record. Every frame of a file usually shares one
-    camera, so each distinct camera is parsed once and the frozen CameraPose
-    shared, through a small cache keyed on the type and repr of all eight
-    fields: 1, 1.0 and true never share an entry, nor do 0.0 and -0.0, which
-    compare equal but write differently. A camera that fails its checks
-    raises before it is cached, and one the key cannot be built for (a
-    missing field, a record that is not an object) gets the uncached parse
-    and its error."""
-    try:
-        k = d["intrinsics"]
-        key = tuple((type(v), repr(v)) for v in (
-            d["height_m"], d["pitch_rad"], k["fx"], k["fy"], k["cx"], k["cy"],
-            k["width_px"], k["height_px"]))
-    except (KeyError, TypeError, ValueError):
-        return _parse_camera(d)
-    camera = _cameras.get(key)
-    if camera is None:
-        camera = _parse_camera(d)
-        if len(_cameras) >= _CAMERA_CACHE_SIZE:
-            _cameras.clear()
-        _cameras[key] = camera
-    return camera
 
 
 def _lane_to_dict(lane: _Lane) -> dict:
@@ -288,9 +259,7 @@ def _lane_from_dict(cls, d: dict) -> _Lane:
     """A lane from its JSON form. The rows go through one np.fromiter, which
     takes under half the time np.asarray takes on nested lists but does not
     see their shape, so the row shape is checked here first. Both would read
-    a string or a boolean as a number, so the value types are checked too.
-    The reshaped points are copied so that the lane owns one (N, dim) array
-    rather than a view of a flat one."""
+    a string or a boolean as a number, so the value types are checked too."""
     lane_id, rows, vis, dim = d["id"], d["points"], d["visibility"], cls._dim
     try:
         _require(set(map(type, rows)) <= {list} and set(map(len, rows)) <= {dim},
@@ -303,7 +272,7 @@ def _lane_from_dict(cls, d: dict) -> _Lane:
         raise InvariantViolation(f"lane '{lane_id}': points must be finite numbers") from e
     _require(not isinstance(vis, list) or set(map(type, vis)) <= _NUMBER_TYPES,
              f"lane '{lane_id}': visibility flags must be 0 or 1")
-    return cls(id=lane_id, points=points.reshape(-1, dim).copy(), visibility=vis)
+    return cls(id=lane_id, points=points.reshape(-1, dim), visibility=vis)
 
 
 @dataclass(eq=False, slots=True)

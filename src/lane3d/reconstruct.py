@@ -288,15 +288,12 @@ def solve_frame(flat_lanes: list[Lane2D], h_cam: float,
         if not zs:
             continue
         z = np.mean(zs, axis=0)
+        z_by_lane[lane.id] = z
         pts = lift_from_virtual_top_xy(lane.points, z, h_cam)
         try:
-            lifted = Lane3D(id=lane.id, points=pts, visibility=lane.visibility)
+            lanes.append(Lane3D(id=lane.id, points=pts, visibility=lane.visibility))
         except InvariantViolation:
             statuses[lane.id] = "folded"
-            z_by_lane[lane.id] = z
-        else:
-            lanes.append(lifted)
-            z_by_lane[lane.id] = lifted.z   # a view: the lane holds the heights once
     return FrameSolve(lanes=lanes, statuses=statuses, clamped=clamped,
                       z_by_lane=z_by_lane, traces=traces, stops=stops)
 

@@ -158,11 +158,14 @@ class GeneratorConfig(Config):
         if not 0.0 <= self.flat_fraction <= 1.0:
             raise InvalidInput("flat_fraction must be within [0, 1]")
         self.road()
-        # a hill drawn this high would fail RoadSpec's check mid-run instead
-        if self.hill.peak_z_range[1] >= self.camera.height_m:
+        # a hill peak is drawn from [lo, hi) unless every road is flat; one
+        # reaching the camera height would fail RoadSpec's check mid-run
+        lo, hi = self.hill.peak_z_range
+        h = self.camera.height_m
+        if self.flat_fraction < 1.0 and (hi > h or lo >= h):
             raise InvalidInput(
                 "GeneratorConfig.hill.peak_z_range must stay below the camera height "
-                f"{self.camera.height_m}, got {list(self.hill.peak_z_range)}")
+                f"{h}, got {[lo, hi]}")
 
     def road(self, **drawn) -> RoadSpec:
         """The road spec of the fields every scene shares plus the drawn ones;
