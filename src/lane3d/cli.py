@@ -35,25 +35,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _count(text: str) -> int:
-    """argparse type for a count: a nonnegative decimal integer."""
+    """argparse type for a count or a seed: a nonnegative decimal integer."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
     return int(text)
-
-
-def _parse_config(path, parse):
-    """Load and parse a config file, turning malformed content into a data
-    error instead of a traceback."""
-    try:
-        return parse(_load_json(path))
-    except (TypeError, ValueError, KeyError) as e:
-        raise InvalidInput(f"bad config {path}: {e!r}") from e
 
 
 def _frame_file(directory: Path, frame_id: str, suffix: str) -> Path:
@@ -66,18 +52,16 @@ def _frame_file(directory: Path, frame_id: str, suffix: str) -> Path:
 
 
 def cmd_generate(args) -> int:
-    config = _parse_config(args.config, lambda raw: raw) if args.config else {}
-    try:
-        scenes = synth.generate_scenes(config, args.count, args.seed)
-    except (TypeError, ValueError, KeyError) as e:
-        raise InvalidInput(f"bad config {args.config}: {e!r}") from e
+    cfg = model.read_json(args.config, synth.GeneratorConfig.from_dict) if args.config \
+        else synth.GeneratorConfig()
+    scenes = synth.generate_scenes(cfg, args.count, args.seed)
     model.write_scenes(scenes, args.out)
     print(f"wrote {len(scenes)} scenes to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_augment(args) -> int:
-    cfg = _parse_config(args.config, AugmentConfig.from_dict) if args.config \
+    cfg = model.read_json(args.config, AugmentConfig.from_dict) if args.config \
         else AugmentConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -116,7 +100,7 @@ def _reconstruct_config(raw):
 
 
 def cmd_reconstruct(args) -> int:
-    opts, trace_dir = _parse_config(args.config, _reconstruct_config) \
+    opts, trace_dir = model.read_json(args.config, _reconstruct_config) \
         if args.config else (SolveOptions(), None)
     frames = model.read_flat_frames(args.in_path)
     if trace_dir is not None:
@@ -153,7 +137,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = _parse_config(args.config, ev.MatchConfig.from_dict) if args.config \
+    cfg = model.read_json(args.config, ev.MatchConfig.from_dict) if args.config \
         else ev.MatchConfig()
     gt = model.read_scenes(args.gt)
     main_report = ev.evaluate_frames(gt, model.read_predictions(args.pred), cfg)
@@ -163,14 +147,9 @@ def cmd_evaluate(args) -> int:
         for path in args.joint:
             reports.append(ev.evaluate_frames(gt, model.read_predictions(path), cfg))
         joint = ev.joint_offset_errors(reports)
-        out["joint"] = [
-            {"source": src, "x_far": j.x_far, "z_far": j.z_far,
-             "pair_count": j.pair_count, "empty_intersection": j.empty_intersection}
-            for src, j in zip([args.pred, *args.joint], joint)
-        ]
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=2)
-        fh.write("\n")
+        out["joint"] = [{"source": src, **dataclasses.asdict(j)}
+                        for src, j in zip([args.pred, *args.joint], joint)]
+    model.write_json(out, args.out)
     if args.csv:
         ev.write_report_csv(main_report, args.csv)
     print(f"F={main_report.f_score:.4f} AP={main_report.ap:.4f} "
@@ -185,8 +164,9 @@ def _looks_like_report(path) -> bool:
     it, so JSONL is read no further than that line: it is a report only
     with per_frame and nothing after it. The whole file is parsed only when
     the first line does not parse (an indented report, not JSON) or when a
-    report line is followed by more."""
-    with open(path, "r", encoding="utf-8") as fh:
+    report line is followed by more. Bytes that are not UTF-8 are decoded
+    as lone surrogates, so the reader, not this check, rejects them."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         head = fh.read(1).strip()
         if head != "{":
             return False
@@ -238,7 +218,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("generate", help="generate synthetic scenes")
     p.add_argument("--config", help="generator config JSON")
     p.add_argument("--count", type=_count, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_generate)
 
@@ -290,7 +270,7 @@ def main(argv=None) -> int:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
     try:
         return args.fn(args)
-    except (Lane3DError, json.JSONDecodeError) as e:
+    except Lane3DError as e:
         print(f"lane3d: {e}", file=sys.stderr)
         return EXIT_DATA
     except OSError as e:

@@ -17,14 +17,14 @@ distinct kept-prediction set, on those tables' kept columns.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, ParseError
-from .model import Config, Lane3D, Prediction, Scene, _coerce, _numbers
+from .errors import InvalidInput
+from .model import (Config, Lane3D, Prediction, Scene, _coerce, _numbers, read_json,
+                    write_json)
 from .projection import resample_flat
 
 DEFAULT_EVAL_Y_REFS = (5.0, 10.0, 15.0, 20.0, 30.0, 40.0, 50.0, 60.0, 80.0, 100.0)
@@ -58,9 +58,10 @@ class MatchConfig(Config):
 @dataclass
 class PairStats:
     """Per-matched-pair offset sums, bucketed near/far, for aggregation and
-    for the joint metric's set intersection."""
+    for the joint metric's set intersection. The report writes a pair
+    inside its frame, so without the frame id."""
 
-    frame_id: str
+    frame_id: str = field(metadata={"json_key": None})
     gt_id: str
     pred_id: str
     cost: float
@@ -333,7 +334,7 @@ class FrameBreakdown:
     tp: int
     fp: int
     fn: int
-    pair_stats: list[PairStats]
+    pair_stats: list[PairStats] = field(metadata={"json_key": "pairs"})
 
 
 # default of each number field in a report, by type: from_dict coerces with it
@@ -342,6 +343,19 @@ _REPORT_NUMBERS = dict.fromkeys(("f_score", "ap", "precision", "recall", "best_t
 _FRAME_COUNTS = dict.fromkeys(("tp", "fp", "fn"), 0)
 _PAIR_NUMBERS = {**dict.fromkeys(("cost", "x_near_sum", "x_far_sum", "z_near_sum",
                                   "z_far_sum"), 0.0), "near_count": 0, "far_count": 0}
+
+
+def _json_form(value):
+    """A report value in its JSON form: a dataclass becomes an object of its
+    fields in declaration order, each under the json_key of its metadata if
+    it has one (None leaves the field out), else under its name; a list or
+    tuple becomes a list; anything else is written as it is."""
+    if is_dataclass(value):
+        return {f.metadata.get("json_key", f.name): _json_form(getattr(value, f.name))
+                for f in fields(value) if f.metadata.get("json_key", f.name)}
+    if isinstance(value, (list, tuple)):
+        return [_json_form(v) for v in value]
+    return value
 
 
 @dataclass
@@ -357,40 +371,11 @@ class EvalReport:
     z_err_far: float
     empty: bool
     matched_pairs: list[tuple[str, str, str]]     # (frame_id, gt id, pred id)
-    per_frame: list[FrameBreakdown]
     pr_curve: list[tuple[float, float, float]]    # (threshold, precision, recall)
+    per_frame: list[FrameBreakdown]
 
     def to_dict(self) -> dict:
-        return {
-            "f_score": self.f_score,
-            "ap": self.ap,
-            "precision": self.precision,
-            "recall": self.recall,
-            "best_threshold": self.best_threshold,
-            "x_err_near": self.x_err_near,
-            "x_err_far": self.x_err_far,
-            "z_err_near": self.z_err_near,
-            "z_err_far": self.z_err_far,
-            "empty": self.empty,
-            "matched_pairs": [list(t) for t in self.matched_pairs],
-            "pr_curve": [list(t) for t in self.pr_curve],
-            "per_frame": [
-                {
-                    "frame_id": fb.frame_id,
-                    "tp": fb.tp, "fp": fb.fp, "fn": fb.fn,
-                    "pairs": [
-                        {
-                            "gt_id": s.gt_id, "pred_id": s.pred_id, "cost": s.cost,
-                            "x_near_sum": s.x_near_sum, "x_far_sum": s.x_far_sum,
-                            "z_near_sum": s.z_near_sum, "z_far_sum": s.z_far_sum,
-                            "near_count": s.near_count, "far_count": s.far_count,
-                        }
-                        for s in fb.pair_stats
-                    ],
-                }
-                for fb in self.per_frame
-            ],
-        }
+        return _json_form(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
@@ -414,22 +399,13 @@ class EvalReport:
 
 
 def write_report(report: EvalReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(report.to_dict(), path)
 
 
 def read_report(path) -> EvalReport:
     """Read a report JSON; a malformed report raises a Lane3DError naming
     the path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    try:
-        return EvalReport.from_dict(raw)
-    except InvalidInput as e:
-        raise InvalidInput(f"{path}: {e}") from e
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"{path}: malformed report: {e!r}") from e
+    return read_json(path, EvalReport.from_dict)
 
 
 def write_report_csv(report: EvalReport, path) -> None:

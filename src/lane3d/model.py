@@ -1,4 +1,5 @@
-"""Core domain types and the JSONL scene/prediction file formats.
+"""Core domain types, the JSONL scene/prediction file formats, and the one
+reader and writer of JSON documents (configs, reports).
 
 Coordinate conventions shared by every module:
   ego frame    right-handed; origin at the perpendicular projection of the
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidInput, InvariantViolation, ParseError
+from .errors import InvalidInput, InvariantViolation, Lane3DError, ParseError
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -382,23 +383,50 @@ flat_frame_from_dict = FlatFrame.from_dict
 _CANONICAL = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False)
 
 
+def _parse_json(where: str, text: str, parse):
+    """parse(the JSON value in text), with one error rule for every reader:
+    text that is not UTF-8 or not JSON, or a KeyError, TypeError or
+    ValueError from parse, becomes a ParseError, and every Lane3DError
+    starts with where (the path, plus the line in JSONL). The readers
+    decode with surrogateescape, so a byte that is not UTF-8 reaches here
+    as a lone surrogate, which does not encode."""
+    try:
+        if not text.isascii():
+            text.encode("utf-8")
+        raw = json.loads(text)
+    except UnicodeEncodeError as e:
+        raise ParseError(f"{where}: not valid UTF-8") from e
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{where}: invalid JSON: {e}") from e
+    try:
+        return parse(raw)
+    except Lane3DError as e:
+        raise type(e)(f"{where}: {e}") from e
+    except (KeyError, TypeError, ValueError) as e:
+        raise ParseError(f"{where}: malformed record: {e!r}") from e
+
+
+def read_json(path, parse):
+    """parse(the JSON document in path); see _parse_json for its errors."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        return _parse_json(str(path), fh.read(), parse)
+
+
+def write_json(doc, path) -> None:
+    """Write one JSON document indented by two spaces, with a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def _read_jsonl(path, from_dict):
+    """from_dict of each nonblank line, read one line at a time."""
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {e}") from e
-            try:
-                out.append(from_dict(raw))
-            except (InvalidInput, InvariantViolation) as e:
-                raise type(e)(f"{path}:{lineno}: {e}") from e
-            except (KeyError, TypeError, ValueError) as e:
-                raise ParseError(f"{path}:{lineno}: malformed record: {e!r}") from e
+            if line:
+                out.append(_parse_json(f"{path}:{lineno}", line, from_dict))
     return out
 
 

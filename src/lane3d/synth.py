@@ -204,10 +204,10 @@ def sample_road_spec(cfg: GeneratorConfig, rng: np.random.Generator) -> RoadSpec
     return cfg.road(centerline_x_coeffs=centerline)
 
 
-def generate_scenes(config: dict, count: int, seed: int) -> list[Scene]:
-    """Deterministically generate `count` scenes from a generator config
-    (the JSON form of GeneratorConfig)."""
-    cfg = GeneratorConfig.from_dict(config)
+def generate_scenes(config, count: int, seed: int) -> list[Scene]:
+    """Deterministically generate `count` scenes from a generator config: a
+    GeneratorConfig or its JSON form."""
+    cfg = config if isinstance(config, GeneratorConfig) else GeneratorConfig.from_dict(config)
     scenes = []
     for i in range(count):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))

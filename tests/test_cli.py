@@ -478,6 +478,35 @@ def test_usage_error_exit_1():
     assert run(["no-such-command"]) == 1
 
 
+def test_generate_negative_seed_exit_1(tmp_path, capsys):
+    out = tmp_path / "scenes.jsonl"
+    assert run(["generate", "--seed", -1, "--out", out]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# BAD holds a blank line, then a line with the byte 0xff
+@pytest.mark.parametrize("command, where", [
+    (["augment", "--in", "BAD", "--out", "OUT"], "bad.jsonl:2:"),
+    (["project", "--in", "BAD", "--out", "OUT"], "bad.jsonl:2:"),
+    (["reconstruct", "--in", "BAD", "--out", "OUT"], "bad.jsonl:2:"),
+    (["evaluate", "BAD", "SCENES", "--out", "OUT"], "bad.jsonl:2:"),
+    (["evaluate", "SCENES", "BAD", "--out", "OUT"], "bad.jsonl:2:"),
+    (["plot", "--in", "BAD", "--out", "OUT"], "bad.jsonl:2:"),
+    (["plot", "--in", "SCENES", "--pred", "BAD", "--out", "OUT"], "bad.jsonl:2:"),
+    (["generate", "--config", "BAD", "--out", "OUT"], "bad.jsonl:"),
+], ids=["augment", "project", "reconstruct", "evaluate-gt", "evaluate-pred", "plot-in",
+        "plot-pred", "config"])
+def test_input_that_is_not_utf8_exit_2_naming_it(tmp_path, capsys, command, where):
+    paths = {"BAD": tmp_path / "bad.jsonl", "SCENES": tmp_path / "scenes.jsonl",
+             "OUT": tmp_path / "out"}
+    paths["BAD"].write_bytes(b"\n\xff\n")
+    run(["generate", "--count", 1, "--out", paths["SCENES"]])
+    capsys.readouterr()
+    assert run([paths.get(arg, arg) for arg in command]) == 2
+    assert f"{where} not valid UTF-8" in capsys.readouterr().err
+
+
 def test_missing_input_exit_3(tmp_path):
     assert run(["project", "--in", tmp_path / "absent.jsonl",
                 "--out", tmp_path / "o.jsonl"]) == 3

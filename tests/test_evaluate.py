@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 import lane3d.evaluate as evaluate_module
-from lane3d.errors import InvalidInput, InvariantViolation
+from lane3d.cli import main
+from lane3d.errors import InvalidInput, InvariantViolation, ParseError
 from lane3d.evaluate import (EvalReport, FrameBreakdown, MatchConfig, compute_ap,
                              compute_fscore, compute_offset_errors,
                              evaluate_frames, fscore_from_counts,
                              joint_offset_errors, match_lanes, read_report,
                              resample_flat, split_extra_long, split_hard_easy,
                              write_report, write_report_csv)
-from lane3d.model import Lane3D, Prediction, Scene
+from lane3d.model import (Lane3D, Prediction, Scene, read_predictions, read_scenes,
+                          write_scenes)
 from lane3d.projection import lift_from_virtual_top_xy
 from lane3d.synth import RoadSpec, generate_scene
 
@@ -411,8 +413,25 @@ def test_report_round_trip_and_csv(tmp_path, pose):
     back = read_report(path)
     assert back.f_score == rep.f_score and back.ap == rep.ap
     assert back.matched_pairs == rep.matched_pairs
+    # one writer: a report read back writes the same bytes, and so does the CLI
+    again = tmp_path / "again.json"
+    write_report(back, again)
+    assert again.read_bytes() == path.read_bytes()
+    gt = tmp_path / "gt.jsonl"
+    write_scenes(scenes, gt)
+    cli_path = tmp_path / "cli.json"
+    assert main(["evaluate", str(gt), str(gt), "--out", str(cli_path)]) == 0
+    write_report(evaluate_frames(read_scenes(gt), read_predictions(gt)), again)
+    assert cli_path.read_bytes() == again.read_bytes()
     csv_path = tmp_path / "frames.csv"
     write_report_csv(rep, csv_path)
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "frame_id,tp,fp,fn,x_near,x_far,z_near,z_far"
     assert len(lines) == 3
+
+
+def test_read_truncated_report_raises_parse_error_naming_it(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text('{"f_score": 1.0,')
+    with pytest.raises(ParseError, match="report.json: invalid JSON"):
+        read_report(path)
