@@ -172,7 +172,7 @@ def _looks_like_report(path) -> bool:
             return False
         fh.seek(0)
         try:
-            first = json.loads(fh.readline())
+            first = model._loads(fh.readline())
         except json.JSONDecodeError:
             pass
         else:
@@ -182,7 +182,7 @@ def _looks_like_report(path) -> bool:
                 return True
         fh.seek(0)
         try:
-            doc = json.load(fh)
+            doc = model._loads(fh.read())
         except json.JSONDecodeError:
             return False
     return "per_frame" in doc

@@ -507,6 +507,26 @@ def test_input_that_is_not_utf8_exit_2_naming_it(tmp_path, capsys, command, wher
     assert f"{where} not valid UTF-8" in capsys.readouterr().err
 
 
+# line 2 of BAD holds a lane point the parser reads but the record check
+# rejects, or is cut short
+@pytest.mark.parametrize("point, message", [
+    ("NaN", "bad.jsonl:2: lane 'left': points must be finite"),
+    ("Infinity", "bad.jsonl:2: lane 'left': points must be finite"),
+    ("-Infinity", "bad.jsonl:2: lane 'left': points must be finite"),
+    ("1e400", "bad.jsonl:2: lane 'left': points must be finite"),
+    (None, "bad.jsonl:2: invalid JSON: "),
+], ids=["nan", "infinity", "minus-infinity", "1e400", "truncated"])
+def test_nonfinite_point_or_truncated_line_exit_2_naming_it(tmp_path, capsys, simple_scene,
+                                                            point, message):
+    bad = tmp_path / "bad.jsonl"
+    write_scenes([simple_scene, dataclasses.replace(simple_scene, frame_id="frame_1")], bad)
+    first, second = bad.read_text().splitlines()
+    second = second[:len(second) // 2] if point is None else second.replace("-1.75", point, 1)
+    bad.write_text(f"{first}\n{second}\n")
+    assert run(["project", "--in", bad, "--out", tmp_path / "flat.jsonl"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_input_exit_3(tmp_path):
     assert run(["project", "--in", tmp_path / "absent.jsonl",
                 "--out", tmp_path / "o.jsonl"]) == 3

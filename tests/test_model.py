@@ -1,14 +1,17 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lane3d.augment import AugmentConfig
 from lane3d.errors import InvalidInput, InvariantViolation, ParseError
-from lane3d.model import (CameraPose, Intrinsics, Lane2D, Lane3D, PairMap,
-                          Prediction, Scene, read_predictions, read_scenes,
+from lane3d.model import (_CANONICAL, CameraPose, Intrinsics, Lane2D, Lane3D, PairMap,
+                          Prediction, Scene, _coerce, _lane_from_dict, _lane_to_dict,
+                          _parse_json, read_json, read_predictions, read_scenes,
                           write_predictions, write_scenes)
 
 from conftest import straight_lane
@@ -132,6 +135,57 @@ def test_read_reports_line_number_on_bad_json(tmp_path, simple_scene):
         fh.write("{not json\n")
     with pytest.raises(ParseError, match=":2:"):
         read_scenes(path)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=500, deadline=None)
+def test_written_float_reads_back_bit_for_bit(x):
+    """write(read(write(x))) is byte-identical because every finite double,
+    subnormals and -0.0 included, written by the canonical encoder reads
+    back through the JSONL parser as the double float(repr(x))."""
+    lane = Lane3D(id="a", points=[[x, 0.0, -x]], visibility=[1])
+    text = _CANONICAL.encode(_lane_to_dict(lane))
+    read = _parse_json("row", text, lambda d: _lane_from_dict(Lane3D, d))
+    assert read.points.tobytes() == b"".join(map(_bits, (float(repr(x)), 0.0,
+                                                        float(repr(-x)))))
+
+
+@pytest.mark.parametrize("s", [
+    "2.2250738585072011e-308",     # just below the smallest normal double
+    "9007199254740993.0",          # 2**53 + 1, halfway between two doubles
+    "4.9406564584124654e-324",     # the smallest subnormal
+    "1e-400",                      # underflows to 0.0
+    "0.1000000000000000055511151231257827021181583404541015625",   # 0.1 exactly
+])
+def test_parser_reads_hard_decimals_as_float_does(s):
+    (value,) = _parse_json("row", f"[{s}]", lambda v: v)
+    assert type(value) is float and _bits(value) == _bits(float(s))
+
+
+def test_int_field_never_takes_a_rounded_integer_literal(tmp_path):
+    """An integer literal beyond 64 bits may parse as the nearest double. An
+    int field rejects it, naming the field, or keeps it exact; it never
+    takes the rounded value."""
+    path = tmp_path / "augment.json"
+    path.write_text('{"seed": 18446744073709551615}')
+    assert read_json(path, AugmentConfig.from_dict).seed == 18446744073709551615
+    path.write_text('{"seed": 18446744073709551617}')
+    try:
+        seed = read_json(path, AugmentConfig.from_dict).seed
+    except InvalidInput as e:
+        assert "augment.json: AugmentConfig.seed must be an integer" in str(e)
+    else:
+        assert seed == 18446744073709551617
+    # the rule is the number's, whichever parser made it
+    for value in (2.0 ** 53, -(2.0 ** 53), 1e300):
+        with pytest.raises(InvalidInput, match=r"^x\.seed must be an integer"):
+            _coerce("x.seed", 0, value)
+    assert _coerce("x.seed", 0, 2.0 ** 53 - 1) == 2 ** 53 - 1
+    assert _coerce("x.seed", 0, 2 ** 70) == 2 ** 70
 
 
 def test_read_rejects_non_monotone_lane_naming_it(tmp_path, simple_scene):
