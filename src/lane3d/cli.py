@@ -147,7 +147,9 @@ def cmd_evaluate(args) -> int:
         for path in args.joint:
             reports.append(ev.evaluate_frames(gt, model.read_predictions(path), cfg))
         joint = ev.joint_offset_errors(reports)
-        out["joint"] = [{"source": src, **dataclasses.asdict(j)}
+        # a path's bytes that are not UTF-8, which JSON text cannot hold, as \xNN
+        out["joint"] = [{"source": src.encode("utf-8", "surrogateescape")
+                         .decode("utf-8", "backslashreplace"), **dataclasses.asdict(j)}
                         for src, j in zip([args.pred, *args.joint], joint)]
     model.write_json(out, args.out)
     if args.csv:

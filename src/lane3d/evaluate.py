@@ -233,7 +233,7 @@ def _match_columns(tables: _FrameTables, cols: list[int], cfg: MatchConfig,
         far_sel = covis & far
         stats.append(PairStats(
             frame_id=frame_id, gt_id=tables.gt[gi].id, pred_id=tables.pred[col].id,
-            cost=cost[gi, pi],
+            cost=float(cost[gi, pi]),
             x_near_sum=float(np.sum(dx[near_sel])), x_far_sum=float(np.sum(dx[far_sel])),
             z_near_sum=float(np.sum(dz[near_sel])), z_far_sum=float(np.sum(dz[far_sel])),
             near_count=int(np.sum(near_sel)), far_count=int(np.sum(far_sel))))

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import re
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -29,6 +28,14 @@ from .errors import InvalidInput, InvariantViolation, Lane3DError, ParseError
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise InvariantViolation(msg)
+
+
+def _is_utf8(text) -> bool:
+    """text is a str that encodes as UTF-8, so it holds no lone surrogate."""
+    try:
+        return isinstance(text, str) and (text.isascii() or bool(text.encode("utf-8")))
+    except UnicodeEncodeError:
+        return False
 
 
 class Config:
@@ -96,7 +103,8 @@ class Intrinsics:
     def __post_init__(self):
         _require(all(math.isfinite(f) and f > 0 for f in (self.fx, self.fy)),
                  "focal lengths must be finite and positive")
-        _require(self.width_px > 0 and self.height_px > 0, "image size must be positive")
+        _require(0 < self.width_px < 2 ** 64 and 0 < self.height_px < 2 ** 64,
+                 "image size must be positive and below 2**64")
         _require(0 <= self.cx < self.width_px, "cx must lie inside the image")
         _require(0 <= self.cy < self.height_px, "cy must lie inside the image")
 
@@ -220,8 +228,9 @@ class PairMap:
 # ---------------------------------------------------------------------------
 # JSONL serialization.
 #
-# Canonical form: one frame per line, fixed key order, floats as Python's
-# shortest round-trip decimals. write(read(write(x))) is byte-identical.
+# Canonical form: one frame per line, fixed key order, floats in orjson's
+# shortest round-trip notation, strings as UTF-8. write(read(write(x))) is
+# byte-identical.
 
 def camera_to_dict(cam: CameraPose) -> dict:
     k = cam.intrinsics
@@ -249,7 +258,7 @@ def camera_from_dict(d: dict) -> CameraPose:
             "fx": 0.0, "fy": 0.0, "cx": 0.0, "cy": 0.0, "width_px": 0, "height_px": 0})))
 
 
-def _lane_to_dict(lane: _Lane, array=np.ndarray.tolist) -> dict:
+def _lane_to_dict(lane: _Lane, array) -> dict:
     return {
         "id": lane.id,
         "points": array(lane.points),
@@ -294,6 +303,8 @@ class _Frame:
 
     def __post_init__(self):
         _require(bool(self.frame_id), "frame_id must be nonempty")
+        _require(all(map(_is_utf8, self._strings())),
+                 f"frame {self.frame_id!r}: ids and metadata must be UTF-8 strings")
         ids = [lane.id for lane in self.lanes]
         _require(len(set(ids)) == len(ids),
                  f"frame '{self.frame_id}': lane ids must be unique")
@@ -316,7 +327,7 @@ class _Frame:
         }
 
     def _strings(self) -> list:
-        """Every string the JSON form holds, keys aside."""
+        """Every string the JSON form holds, its fixed keys aside."""
         return [self.frame_id, *(lane.id for lane in self.lanes)]
 
     @classmethod
@@ -335,14 +346,6 @@ class Scene(_Frame):
     """One frame: camera pose plus ground-truth 3D lane boundaries."""
 
     metadata: dict[str, str] = field(default_factory=dict)
-
-    # _Frame by name: slots=True builds a new class, which the cell that
-    # zero-argument super() reads does not see
-    def __post_init__(self):
-        _Frame.__post_init__(self)
-        _require(all(isinstance(k, str) and isinstance(v, str)
-                     for k, v in self.metadata.items()),
-                 f"scene '{self.frame_id}': metadata must map str to str")
 
     def _doc(self, array) -> dict:
         doc = _Frame._doc(self, array)
@@ -363,6 +366,8 @@ class Prediction(_Frame):
 
     probs: list[float]
 
+    # _Frame by name: slots=True builds a new class, which the cell that
+    # zero-argument super() reads does not see
     def __post_init__(self):
         _Frame.__post_init__(self)
         _require(len(self.probs) == len(self.lanes),
@@ -395,32 +400,6 @@ scene_from_dict = Scene.from_dict
 prediction_from_dict = Prediction.from_dict
 flat_frame_from_dict = FlatFrame.from_dict
 
-# Every record is a fresh tree built by a to_dict method, so the
-# encoder skips the cycle bookkeeping it would do per container.
-_CANONICAL = json.JSONEncoder(separators=(",", ":"), allow_nan=False, check_circular=False)
-
-
-def _small_to_repr(match) -> bytes:
-    """repr's form of a number orjson writes as 0.0000 and digits:
-    0.000015 -> 1.5e-05, 0.00001 -> 1e-05."""
-    head, tail = match.groups()
-    return head + (b"." + tail if tail else b"") + b"e-05"
-
-
-# orjson writes the shortest round-trip digits of a float, as repr does, but
-# in another notation in three cases; these rules rewrite each to repr's. A
-# pattern that starts with a literal lets re skip ahead to its candidates,
-# which keeps the rewrite ~10x faster than one that starts with a lookbehind.
-_REPR_NOTATION = [(re.compile(pattern), repl) for pattern, repl in (
-    (rb"e(?=\d)", b"e+"),                                  # 1e16 -> 1e+16
-    (rb"e-(?=\d\b)", b"e-0"),                              # 1.5e-7 -> 1.5e-07
-    # 1e-5 <= |x| < 1e-4; the lookbehind skips 10.00001
-    (rb"0\.0000(?<!\d0\.0000)(\d)(\d*)", _small_to_repr),   # 0.000015 -> 1.5e-05
-)]
-# Text in a string that a rule above could match
-_NOTATION_IN_STRING = re.compile(r"e-?\d|0\.0000")
-
-
 def _loads(text: str):
     """The JSON value in text, the one parser of every reader. orjson parses
     a JSONL line 4-5x faster than json.loads and reads every number as the
@@ -442,14 +421,12 @@ def _parse_json(where: str, text: str, parse):
     ValueError from parse, becomes a ParseError, and every Lane3DError
     starts with where (the path, plus the line in JSONL). The readers
     decode with surrogateescape, so a byte that is not UTF-8 reaches here
-    as a lone surrogate, which does not encode; it is checked before
-    parsing because json.loads, the fallback of _loads, would accept it."""
+    as a lone surrogate; it is checked before parsing because json.loads,
+    the fallback of _loads, would accept it."""
+    if not _is_utf8(text):
+        raise ParseError(f"{where}: not valid UTF-8")
     try:
-        if not text.isascii():
-            text.encode("utf-8")
         raw = _loads(text)
-    except UnicodeEncodeError as e:
-        raise ParseError(f"{where}: not valid UTF-8") from e
     except json.JSONDecodeError as e:
         raise ParseError(f"{where}: invalid JSON: {e}") from e
     try:
@@ -468,9 +445,8 @@ def read_json(path, parse):
 
 def write_json(doc, path) -> None:
     """Write one JSON document indented by two spaces, with a final newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE))
 
 
 def _read_jsonl(path, from_dict):
@@ -486,25 +462,11 @@ def _read_jsonl(path, from_dict):
 
 def _encode(rec) -> bytes:
     """rec's line in canonical JSONL form, newline included. orjson encodes
-    the lane arrays as they are, in about a quarter of the time _CANONICAL
-    takes over their lists, and _REPR_NOTATION makes its bytes _CANONICAL's.
-    np.ascontiguousarray copies only a strided view, which orjson rejects.
-    A record that path cannot prove byte-identical goes through _CANONICAL:
-    one with a string that holds a character outside printable ASCII (json
-    escapes it, orjson writes it raw) or text a rule could match, a string
-    field of another type, or an int beyond 64 bits."""
-    try:
-        strings = " ".join(rec._strings())
-        if (strings.isascii() and strings.isprintable()
-                and _NOTATION_IN_STRING.search(strings) is None):
-            line = orjson.dumps(rec._doc(np.ascontiguousarray),
-                                option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
-            for pattern, repl in _REPR_NOTATION:
-                line = pattern.sub(repl, line)
-            return line
-    except TypeError:   # from join, or orjson.JSONEncodeError
-        pass
-    return _CANONICAL.encode(rec.to_dict()).encode("ascii") + b"\n"
+    the lane arrays as they are; np.ascontiguousarray copies only a strided
+    view, which orjson rejects. Every value of a record is one orjson
+    writes: its checks admit only UTF-8 strings and 64-bit ints."""
+    return orjson.dumps(rec._doc(np.ascontiguousarray),
+                        option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
 
 
 def _write_jsonl(records, path) -> None:

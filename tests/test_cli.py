@@ -361,11 +361,15 @@ def test_evaluate_gt_vs_gt(tmp_path):
 
 def test_evaluate_joint_with_identical_method(tmp_path):
     scenes = tmp_path / "scenes.jsonl"
+    other = tmp_path / os.fsdecode(b"other\xff.jsonl")   # a name that is not UTF-8
     report = tmp_path / "report.json"
     run(["generate", "--count", 3, "--seed", 7, "--out", scenes])
-    assert run(["evaluate", scenes, scenes, "--joint", scenes, "--out", report]) == 0
+    other.write_bytes(scenes.read_bytes())
+    assert run(["evaluate", scenes, scenes, "--joint", other, "--out", report]) == 0
     doc = json.loads(report.read_text())
     assert "joint" in doc and len(doc["joint"]) == 2
+    assert [entry["source"] for entry in doc["joint"]] == [
+        str(scenes), str(other).replace("\udcff", "\\xff")]
     for entry in doc["joint"]:
         assert entry["x_far"] == doc["x_err_far"]
         assert not entry["empty_intersection"]
@@ -524,6 +528,32 @@ def test_nonfinite_point_or_truncated_line_exit_2_naming_it(tmp_path, capsys, si
     second = second[:len(second) // 2] if point is None else second.replace("-1.75", point, 1)
     bad.write_text(f"{first}\n{second}\n")
     assert run(["project", "--in", bad, "--out", tmp_path / "flat.jsonl"]) == 2
+    assert message in capsys.readouterr().err
+
+
+# line 2 of BAD holds a value the JSONL writer could not write back: a lone
+# surrogate or a number for an id (the 1e400 makes json parse the line, and
+# json keeps both the surrogate and the width's 71-bit int)
+@pytest.mark.parametrize("edits, message", [
+    ({'"id":"left"': '"id":"\\ud800"', '"frame_id"': '"x":1e400,"frame_id"'},
+     "bad.jsonl:2: frame 'frame_1': ids and metadata must be UTF-8 strings"),
+    ({'"width_px":1920': f'"width_px":{2 ** 70}', '"frame_id"': '"x":1e400,"frame_id"'},
+     "bad.jsonl:2: image size must be positive and below 2**64"),
+    ({'"frame_id":"frame_1"': '"frame_id":5'},
+     "bad.jsonl:2: frame 5: ids and metadata must be UTF-8 strings"),
+], ids=["lone-surrogate-id", "width-2**70", "int-frame-id"])
+@pytest.mark.parametrize("command", [["augment", "--in"], ["plot", "--in"]],
+                         ids=["augment", "plot"])
+def test_value_the_writer_cannot_write_exit_2_naming_it(tmp_path, capsys, simple_scene,
+                                                         edits, message, command):
+    bad = tmp_path / "bad.jsonl"
+    write_scenes([simple_scene, dataclasses.replace(simple_scene, frame_id="frame_1")], bad)
+    first, second = bad.read_text().splitlines()
+    for old, new in edits.items():
+        assert old in second
+        second = second.replace(old, new, 1)
+    bad.write_text(f"{first}\n{second}\n")
+    assert run([*command, bad, "--out", tmp_path / "out"]) == 2
     assert message in capsys.readouterr().err
 
 

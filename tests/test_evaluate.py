@@ -413,6 +413,9 @@ def test_report_round_trip_and_csv(tmp_path, pose):
     back = read_report(path)
     assert back.f_score == rep.f_score and back.ap == rep.ap
     assert back.matched_pairs == rep.matched_pairs
+    costs = [p.cost for fb in rep.per_frame for p in fb.pair_stats]
+    assert costs and {type(c) for c in costs} == {float}
+    assert costs == [p.cost for fb in back.per_frame for p in fb.pair_stats]
     # one writer: a report read back writes the same bytes, and so does the CLI
     again = tmp_path / "again.json"
     write_report(back, again)

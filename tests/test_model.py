@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from lane3d.augment import AugmentConfig
 from lane3d.errors import InvalidInput, InvariantViolation, ParseError
-from lane3d.model import (_CANONICAL, CameraPose, Intrinsics, Lane2D, Lane3D, PairMap,
-                          Prediction, Scene, _coerce, _lane_from_dict, _lane_to_dict,
+from lane3d.model import (CameraPose, Intrinsics, Lane2D, Lane3D, PairMap,
+                          Prediction, Scene, _coerce, _encode, _lane_from_dict,
                           _parse_json, read_json, read_predictions, read_scenes,
                           write_predictions, write_scenes)
 
@@ -145,13 +145,15 @@ def _bits(x: float) -> bytes:
 @settings(max_examples=500, deadline=None)
 def test_written_float_reads_back_bit_for_bit(x):
     """write(read(write(x))) is byte-identical because every finite double,
-    subnormals and -0.0 included, written by the canonical encoder reads
-    back through the JSONL parser as the double float(repr(x))."""
+    subnormals and -0.0 included, written by the JSONL encoder reads back
+    through the JSONL parser as the same double."""
     lane = Lane3D(id="a", points=[[x, 0.0, -x]], visibility=[1])
-    text = _CANONICAL.encode(_lane_to_dict(lane))
-    read = _parse_json("row", text, lambda d: _lane_from_dict(Lane3D, d))
-    assert read.points.tobytes() == b"".join(map(_bits, (float(repr(x)), 0.0,
-                                                        float(repr(-x)))))
+    camera = CameraPose(height_m=1.5, pitch_rad=0.0,
+                        intrinsics=Intrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0,
+                                              width_px=1, height_px=1))
+    line = _encode(Scene(frame_id="f", camera=camera, lanes=[lane]))
+    read = _parse_json("row", line.decode(), lambda d: _lane_from_dict(Lane3D, d["lanes"][0]))
+    assert read.points.tobytes() == b"".join(map(_bits, (x, 0.0, -x)))
 
 
 @pytest.mark.parametrize("s", [
