@@ -20,7 +20,7 @@ from .augment import AugmentConfig, augment_scene
 from .errors import HeightExceedsCamera, InvalidInput, Lane3DError
 from .model import FlatFrame, Lane2D, Scene
 from .projection import project_virtual_top_xy
-from .reconstruct import STOP_REASONS, SolveOptions, solve_frame, write_trace_csv
+from .reconstruct import STOP_REASONS, SolveOptions, solve_frame
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -63,8 +63,6 @@ def cmd_generate(args) -> int:
 def cmd_augment(args) -> int:
     cfg = model.read_json(args.config, AugmentConfig.from_dict) if args.config \
         else AugmentConfig()
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     scenes = model.read_scenes(args.in_path)
     out = [augment_scene(scene, cfg, draw_index=i) for i, scene in enumerate(scenes)]
     model.write_scenes(out, args.out)
@@ -92,30 +90,15 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
-def _reconstruct_config(raw):
-    trace_dir = raw.pop("trace_dir", None) if isinstance(raw, dict) else None
-    if trace_dir is not None and (not isinstance(trace_dir, str) or "\0" in trace_dir):
-        raise InvalidInput(f"trace_dir must be a path string, got {trace_dir!r}")
-    return SolveOptions.from_dict(raw), None if trace_dir is None else Path(trace_dir)
-
-
 def cmd_reconstruct(args) -> int:
-    opts, trace_dir = model.read_json(args.config, _reconstruct_config) \
-        if args.config else (SolveOptions(), None)
+    opts = model.read_json(args.config, SolveOptions.from_dict) if args.config \
+        else SolveOptions()
     frames = model.read_flat_frames(args.in_path)
-    if trace_dir is not None:
-        trace_dir.mkdir(parents=True, exist_ok=True)
     stops = Counter()
 
     def solve(frame: FlatFrame) -> Scene:
-        if args.h_cam is not None:
-            frame = dataclasses.replace(
-                frame, camera=dataclasses.replace(frame.camera, height_m=args.h_cam))
         result = solve_frame(frame.lanes, frame.camera.height_m, opts)
         stops.update(result.stops)
-        if trace_dir is not None:
-            for k, trace in enumerate(result.traces):
-                write_trace_csv(trace, _frame_file(trace_dir, frame.frame_id, f"_pair{k}.csv"))
         meta = {f"solver_status:{lane_id}": status
                 for lane_id, status in sorted(result.statuses.items())}
         for lane_id, was_clamped in sorted(result.clamped.items()):
@@ -227,7 +210,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("augment", help="rotation-augment scenes")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--config", help="augment config JSON")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_augment)
 
@@ -239,8 +221,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reconstruct", help="reconstruct 3D lanes from flat lanes")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--config", help="solver options JSON")
-    p.add_argument("--h-cam", dest="h_cam", type=float, default=None,
-                   help="override the camera height of the input frames")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_reconstruct)
 

@@ -17,14 +17,15 @@ distinct kept-prediction set, on those tables' kept columns.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .errors import InvalidInput
-from .model import (Config, Lane3D, Prediction, Scene, _coerce, _numbers, read_json,
-                    write_json)
+from .model import (Config, Lane3D, Prediction, Scene, _coerce, _is_utf8, _numbers,
+                    read_json, write_json)
 from .projection import resample_flat
 
 DEFAULT_EVAL_Y_REFS = (5.0, 10.0, 15.0, 20.0, 30.0, 40.0, 50.0, 60.0, 80.0, 100.0)
@@ -379,7 +380,13 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        """Read to_dict's form back; numbers are coerced by field type."""
+        """Read to_dict's form back; numbers are coerced by field type. Ids must
+        be UTF-8 strings and empty a boolean, so that write_report can write it."""
+        frames = d["per_frame"]
+        ids = [s for t in d["matched_pairs"] for s in t] + [fb["frame_id"] for fb in frames] \
+            + [p[key] for fb in frames for p in fb["pairs"] for key in ("gt_id", "pred_id")]
+        if not (all(map(_is_utf8, ids)) and isinstance(d["empty"], bool)):
+            raise InvalidInput("report ids must be UTF-8 strings and empty true or false")
         per_frame = [
             FrameBreakdown(
                 frame_id=fb["frame_id"], **_numbers("frame", fb, _FRAME_COUNTS),
@@ -388,7 +395,7 @@ class EvalReport:
                               pred_id=p["pred_id"], **_numbers("pair", p, _PAIR_NUMBERS))
                     for p in fb["pairs"]
                 ])
-            for fb in d["per_frame"]
+            for fb in frames
         ]
         return cls(
             **_numbers("report", d, _REPORT_NUMBERS),
@@ -409,13 +416,14 @@ def read_report(path) -> EvalReport:
 
 
 def write_report_csv(report: EvalReport, path) -> None:
-    """Optional per-frame CSV breakdown."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("frame_id,tp,fp,fn,x_near,x_far,z_near,z_far\n")
+    """Optional per-frame CSV breakdown; ids with a comma, quote or newline are quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["frame_id", "tp", "fp", "fn", "x_near", "x_far", "z_near", "z_far"])
         for fb in report.per_frame:
             e = compute_offset_errors(fb.pair_stats)
-            fh.write(f"{fb.frame_id},{fb.tp},{fb.fp},{fb.fn},"
-                     f"{e.x_near},{e.x_far},{e.z_near},{e.z_far}\n")
+            writer.writerow([fb.frame_id, fb.tp, fb.fp, fb.fn,
+                             e.x_near, e.x_far, e.z_near, e.z_far])
 
 
 def evaluate_frames(gt_scenes: list[Scene], predictions: list[Prediction],

@@ -297,10 +297,3 @@ def solve_frame(flat_lanes: list[Lane2D], h_cam: float,
     return FrameSolve(lanes=lanes, statuses=statuses, clamped=clamped,
                       z_by_lane=z_by_lane, traces=traces, stops=stops)
 
-
-def write_trace_csv(trace, path) -> None:
-    """Write one solve's (iter, J, step) rows as CSV."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iter,J,step\n")
-        for it, value, step in trace:
-            fh.write(f"{it},{value},{step}\n")

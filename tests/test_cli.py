@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +16,12 @@ from hypothesis import strategies as st
 
 import lane3d
 from lane3d.augment import AugmentConfig
-from lane3d.cli import _looks_like_report, _reconstruct_config, main
+from lane3d.cli import _looks_like_report, main
 from lane3d.evaluate import MatchConfig
 from lane3d.model import (CameraPose, Intrinsics, Lane2D, Lane3D, Scene,
                           read_flat_frames, read_scenes, write_flat_frames,
                           write_scenes)
-from lane3d.reconstruct import SolveOptions
+from lane3d.reconstruct import STOP_REASONS, SolveOptions, solve_frame
 from lane3d.synth import GeneratorConfig
 
 CONFIGS = "configs"
@@ -82,15 +84,18 @@ def test_augment_fixed_pitch_changes_heights(tmp_path):
 
 
 def test_augment_deterministic(tmp_path):
+    """The augment seed is set in its config, and only there."""
     src = tmp_path / "src.jsonl"
     run(["generate", "--count", 5, "--seed", 4, "--out", src])
+    default = json.loads((Path(CONFIGS) / "augment_default.json").read_text())
     outs = []
-    for name in ("a.jsonl", "b.jsonl"):
-        dst = tmp_path / name
-        assert run(["augment", "--in", src, "--config",
-                    f"{CONFIGS}/augment_default.json", "--seed", 9, "--out", dst]) == 0
+    for name, seed in (("a", 9), ("b", 9), ("c", 10)):
+        cfg, dst = tmp_path / f"{name}.json", tmp_path / f"{name}.jsonl"
+        cfg.write_text(json.dumps({**default, "seed": seed}))
+        assert run(["augment", "--in", src, "--config", cfg, "--out", dst]) == 0
         outs.append(dst.read_bytes())
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] != outs[2]
+    assert run(["augment", "--in", src, "--seed", 9, "--out", tmp_path / "d.jsonl"]) == 1
 
 
 def test_project_then_reconstruct_flat(tmp_path):
@@ -176,22 +181,6 @@ def test_reconstruct_single_boundary_status(tmp_path, simple_scene, pose):
     assert out.lanes == []
 
 
-def test_reconstruct_trace_csv(tmp_path):
-    scenes = tmp_path / "scenes.jsonl"
-    flat = tmp_path / "flat.jsonl"
-    rec = tmp_path / "rec.jsonl"
-    run(["generate", "--count", 2, "--seed", 13, "--out", scenes])
-    run(["project", "--in", scenes, "--out", flat])
-    cfg = tmp_path / "solve.json"
-    cfg.write_text(json.dumps({"trace_dir": str(tmp_path / "traces")}))
-    assert run(["reconstruct", "--in", flat, "--config", cfg, "--out", rec]) == 0
-    traces = sorted((tmp_path / "traces").glob("*.csv"))
-    assert len(traces) == 2
-    header, first = traces[0].read_text().splitlines()[:2]
-    assert header == "iter,J,step"
-    assert first.startswith("0,")
-
-
 def test_reconstruct_prints_stop_histogram(tmp_path, capsys):
     scenes, flat, rec = (tmp_path / f"{name}.jsonl" for name in ("scenes", "flat", "rec"))
     run(["generate", "--count", 6, "--seed", 42, "--out", scenes])
@@ -204,17 +193,16 @@ def test_reconstruct_prints_stop_histogram(tmp_path, capsys):
                               points=lane.points + rng.normal(0.0, 0.05, lane.points.shape))
                        for lane in frame.lanes]
     write_flat_frames(frames, flat)
-    cfg = tmp_path / "solve.json"
-    cfg.write_text(json.dumps({"trace_dir": str(tmp_path / "traces")}))
     capsys.readouterr()
-    assert run(["reconstruct", "--in", flat, "--config", cfg, "--out", rec]) == 0
+    assert run(["reconstruct", "--in", flat, "--out", rec]) == 0
     (line,) = [ln for ln in capsys.readouterr().err.splitlines()
                if ln.startswith("solver stops: ")]
-    counts = dict(item.split("=") for item in line.split()[2:])
-    assert list(counts) == ["no_descent", "tol", "step", "max_iters"]
-    solved = len(list((tmp_path / "traces").glob("*.csv")))
-    assert sum(map(int, counts.values())) == solved > 0
-    assert int(counts["no_descent"]) > 0 and int(counts["step"]) > 0
+    counts = {reason: int(n) for reason, n in (item.split("=") for item in line.split()[2:])}
+    assert list(counts) == ["no_descent", "tol", "step", "max_iters"] == list(STOP_REASONS)
+    solved = Counter(stop for frame in frames
+                     for stop in solve_frame(frame.lanes, frame.camera.height_m).stops)
+    assert counts == {reason: solved[reason] for reason in STOP_REASONS}
+    assert sum(counts.values()) > 0 and counts["no_descent"] > 0 and counts["step"] > 0
 
 
 @pytest.mark.parametrize("frame_id", ["../escaped", "nested/escaped", "nul\0escaped"])
@@ -228,12 +216,13 @@ def test_frame_id_that_is_not_a_plain_name_exit_2(tmp_path, frame_id):
     scene.frame_id = frame_id
     write_scenes([scene], scenes)
     assert run(["project", "--in", scenes, "--out", flat]) == 0
-    cfg = work / "solve.json"
-    cfg.write_text(json.dumps({"trace_dir": str(work / "traces")}))
-    assert run(["reconstruct", "--in", flat, "--config", cfg,
-                "--out", work / "rec.jsonl"]) == 2
+    # reconstruct writes only its JSONL, so any frame id is fine there
+    assert run(["reconstruct", "--in", flat, "--out", work / "rec.jsonl"]) == 0
+    assert [s.frame_id for s in read_scenes(work / "rec.jsonl")] == [frame_id]
+    # plot names a file after each frame, and writes none outside its directory
     assert run(["plot", "--in", scenes, "--out", work / "figs"]) == 2
-    assert [p.name for p in tmp_path.rglob("*escaped*")] == []
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+        "work", "work/figs", "work/flat.jsonl", "work/rec.jsonl", "work/scenes.jsonl"]
 
 
 def test_shipped_configs_parse_to_the_code_defaults():
@@ -245,7 +234,7 @@ def test_shipped_configs_parse_to_the_code_defaults():
         "generate_default.json": (GeneratorConfig.from_dict, GeneratorConfig()),
         "augment_default.json": (AugmentConfig.from_dict, AugmentConfig()),
         "augment_yaw_only.json": (AugmentConfig.from_dict, yaw_only),
-        "reconstruct_default.json": (_reconstruct_config, (SolveOptions(), None)),
+        "reconstruct_default.json": (SolveOptions.from_dict, SolveOptions()),
         "evaluate_default.json": (MatchConfig.from_dict, MatchConfig()),
     }
     paths = sorted(Path(CONFIGS).glob("*.json"))
@@ -308,20 +297,15 @@ def test_misspelled_config_key_exit_2(tmp_path, capsys):
     assert run(["project", "--in", scenes, "--out", flat]) == 0
     rec = tmp_path / "rec.json"
     for config, message in [([1, 2], "must be a JSON object"),
-                            ({"trace_dir": 5}, "trace_dir must be a path string"),
-                            ({"trace_dir": "tr\0ace"}, "trace_dir must be a path string"),
-                            ({"max_iter": 5}, "max_iter")]:
+                            # a key older configs may hold fails like any unknown key
+                            ({"trace_dir": "traces"}, "SolveOptions.trace_dir"),
+                            ({"max_iter": 5}, "SolveOptions.max_iter")]:
         rec.write_text(json.dumps(config))
         capsys.readouterr()
         assert run(["reconstruct", "--in", flat, "--config", rec,
                     "--out", tmp_path / "rec.jsonl"]) == 2
         assert message in capsys.readouterr().err
-    # a camera height override must be a finite positive number
-    for h_cam in ["inf", "nan", "-1", "0"]:
-        out = tmp_path / f"rec_{h_cam}.jsonl"
-        assert run(["reconstruct", "--in", flat, "--h-cam", h_cam, "--out", out]) == 2
-        assert "height_m must be finite and positive" in capsys.readouterr().err
-        assert not out.exists()
+    assert not (tmp_path / "rec.jsonl").exists()
 
 
 def test_evaluate_runs_without_scipy(tmp_path):
@@ -357,6 +341,24 @@ def test_evaluate_gt_vs_gt(tmp_path):
     assert doc["f_score"] == 1.0
     assert doc["ap"] == 1.0
     assert doc["x_err_far"] == 0.0 and doc["z_err_far"] == 0.0
+
+
+def test_evaluate_csv_quotes_frame_ids_with_comma_quote_or_newline(tmp_path):
+    scenes = tmp_path / "scenes.jsonl"
+    run(["generate", "--count", 3, "--seed", 12, "--out", scenes])
+    ids = ['a,"b"\nc', "plain", ","]
+    write_scenes([dataclasses.replace(s, frame_id=i) for s, i in zip(read_scenes(scenes), ids)],
+                 scenes)
+    out = tmp_path / "frames.csv"
+    assert run(["evaluate", scenes, scenes, "--out", tmp_path / "report.json",
+                "--csv", out]) == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["frame_id", "tp", "fp", "fn", "x_near", "x_far", "z_near", "z_far"]
+    assert [row[0] for row in rows[1:]] == ids
+    assert [len(row) for row in rows] == [8] * 4
+    # a plain id is written as it is, each number as repr writes it
+    assert "\nplain,2,0,0,0.0,0.0,0.0,0.0\n" in out.read_text(encoding="utf-8")
 
 
 def test_evaluate_joint_with_identical_method(tmp_path):
@@ -439,12 +441,27 @@ def test_plot_report_chart(tmp_path, capsys):
     # a malformed report is a data error naming the file, not a traceback
     doc = json.loads(report.read_text())
     bad = tmp_path / "bad.json"
+    frame = doc["per_frame"][0]
+    pair = frame["pairs"][0]
     for broken in [{"per_frame": []}, {**doc, "f_score": "0.9"}, {**doc, "pr_curve": [5]},
                    {**doc, "per_frame": [{"frame_id": "f", "tp": 1.5}]}]:
         bad.write_text(json.dumps(broken))
         capsys.readouterr()
         assert run(["plot", "--in", bad, "--out", out_dir]) == 2
         assert "bad.json" in capsys.readouterr().err
+    # a report read must be one write_report can write back: every id a
+    # UTF-8 string, and empty a boolean
+    for broken in [{**doc, "matched_pairs": [["f", "\ud800", "p"]]},
+                   {**doc, "per_frame": [{**frame, "frame_id": 5}]},
+                   {**doc, "per_frame": [{**frame, "frame_id": "\udcff"}]},
+                   {**doc, "per_frame": [{**frame, "pairs": [{**pair, "gt_id": 1}]}]},
+                   {**doc, "per_frame": [{**frame, "pairs": [{**pair, "pred_id": None}]}]},
+                   {**doc, "empty": 0}, {**doc, "empty": "false"}]:
+        bad.write_text(json.dumps(broken))
+        capsys.readouterr()
+        assert run(["plot", "--in", bad, "--out", out_dir]) == 2
+        assert "bad.json: report ids must be UTF-8 strings and empty true or false" \
+            in capsys.readouterr().err
 
 
 def test_plot_tells_report_from_jsonl_by_first_line(tmp_path):
@@ -480,6 +497,8 @@ def test_usage_error_exit_1():
     assert run(["generate", "--count", "not-a-number", "--out", "x"]) == 1
     assert run(["generate", "--count", -5, "--out", "x"]) == 1
     assert run(["no-such-command"]) == 1
+    # the camera height comes from each frame record, not from a flag
+    assert run(["reconstruct", "--in", "x", "--h-cam", "1.5", "--out", "y"]) == 1
 
 
 def test_generate_negative_seed_exit_1(tmp_path, capsys):
