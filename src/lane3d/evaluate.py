@@ -383,6 +383,8 @@ class EvalReport:
         """Read to_dict's form back; numbers are coerced by field type. Ids must
         be UTF-8 strings and empty a boolean, so that write_report can write it."""
         frames = d["per_frame"]
+        if not all(isinstance(t, list) and len(t) == 3 for t in d["matched_pairs"]):
+            raise InvalidInput("each matched pair must be a list of three ids")
         ids = [s for t in d["matched_pairs"] for s in t] + [fb["frame_id"] for fb in frames] \
             + [p[key] for fb in frames for p in fb["pairs"] for key in ("gt_id", "pred_id")]
         if not (all(map(_is_utf8, ids)) and isinstance(d["empty"], bool)):
@@ -416,14 +418,17 @@ def read_report(path) -> EvalReport:
 
 
 def write_report_csv(report: EvalReport, path) -> None:
-    """Optional per-frame CSV breakdown; ids with a comma, quote or newline are quoted."""
+    """Optional per-frame CSV breakdown; an id holding a comma, a quote or a
+    line break is quoted."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        # the default quoting leaves a bare \r, on which csv.reader splits a row
+        quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
         writer.writerow(["frame_id", "tp", "fp", "fn", "x_near", "x_far", "z_near", "z_far"])
         for fb in report.per_frame:
             e = compute_offset_errors(fb.pair_stats)
-            writer.writerow([fb.frame_id, fb.tp, fb.fp, fb.fn,
-                             e.x_near, e.x_far, e.z_near, e.z_far])
+            (quoted if "\r" in fb.frame_id else writer).writerow(
+                [fb.frame_id, fb.tp, fb.fp, fb.fn, e.x_near, e.x_far, e.z_near, e.z_far])
 
 
 def evaluate_frames(gt_scenes: list[Scene], predictions: list[Prediction],

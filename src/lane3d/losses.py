@@ -46,21 +46,18 @@ class WidthSeries:
 def width_series(left: Lane3D, right: Lane3D, pairs: PairMap, h_cam: float) -> WidthSeries:
     """Evaluate D_3D and D_2D for every matched pair, in key order. Raises
     HeightExceedsCamera when a matched point has z >= h_cam."""
-    by_id = {left.id: left, right.id: right}
-    if pairs.source_id not in by_id or pairs.target_id not in by_id:
+    if {pairs.source_id, pairs.target_id} != {left.id, right.id}:
         raise InvalidInput(
             f"pair map connects '{pairs.source_id}'->'{pairs.target_id}', "
             f"got lanes '{left.id}' and '{right.id}'")
-    src = by_id[pairs.source_id]
-    tgt = by_id[pairs.target_id]
-    i, j = np.array(pairs.items_sorted(), dtype=int).reshape(-1, 2).T
-    a, b = src.points[i], tgt.points[j]
+    i, j = pairs.indices(left.id)
+    a, b = left.points[i], right.points[j]
     flat = (project_virtual_top_xy(a[:, :2], a[:, 2], h_cam)
             - project_virtual_top_xy(b[:, :2], b[:, 2], h_cam))
     z_mean = 0.5 * (a[:, 2] + b[:, 2])
     return WidthSeries(d3=np.linalg.norm(a - b, axis=1),
                        d2=np.hypot(flat[:, 0], flat[:, 1]) * (h_cam - z_mean),
-                       mask=src.visibility[i] & tgt.visibility[j])
+                       mask=left.visibility[i] & right.visibility[j])
 
 
 def second_difference_l1(values: np.ndarray, mask: np.ndarray | None = None,

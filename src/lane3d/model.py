@@ -218,8 +218,14 @@ class PairMap:
         _require(all(b >= a for a, b in zip(vals, vals[1:])),
                  "pair values must be nondecreasing as keys increase")
 
-    def items_sorted(self) -> list[tuple[int, int]]:
-        return sorted(self.pairs.items())
+    def indices(self, lane_id: str) -> tuple[np.ndarray, np.ndarray]:
+        """The matched indices on lane_id and on the other boundary, as int
+        arrays in key order; lane_id is the source or the target."""
+        if lane_id not in (self.source_id, self.target_id):
+            raise InvalidInput(f"pair map connects '{self.source_id}'->'{self.target_id}', "
+                               f"not '{lane_id}'")
+        keys, values = np.array(sorted(self.pairs.items()), dtype=int).reshape(-1, 2).T.copy()
+        return (keys, values) if lane_id == self.source_id else (values, keys)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -450,14 +456,17 @@ def write_json(doc, path) -> None:
 
 
 def _read_jsonl(path, from_dict):
-    """from_dict of each nonblank line, read one line at a time."""
-    out = []
+    """from_dict of each nonblank line, read one line at a time; frame ids are unique."""
+    out = {}
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                out.append(_parse_json(f"{path}:{lineno}", line, from_dict))
-    return out
+                rec = _parse_json(f"{path}:{lineno}", line, from_dict)
+                if rec.frame_id in out:
+                    raise ParseError(f"{path}:{lineno}: duplicate frame id '{rec.frame_id}'")
+                out[rec.frame_id] = rec
+    return list(out.values())
 
 
 def _encode(rec) -> bytes:

@@ -73,28 +73,18 @@ def match_point_pairs(l1: Lane2D | Lane3D, l2: Lane2D | Lane3D,
     mid2, seed_width = _windowed_argmin(pts1[mid1], pts2, lo, hi)
 
     pairs = {mid1: mid2}
-
-    prev, prev_width = mid2, seed_width
-    for i in range(mid1 - 1, -1, -1):
-        lo, hi = max(0, prev - eta), prev - 1
-        if hi < lo:
-            break
-        j, width = _windowed_argmin(pts1[i], pts2, lo, hi)
-        if abs(width - prev_width) > cfg.width_jump_threshold:
-            return None
-        pairs[i] = j
-        prev, prev_width = j, width
-
-    prev, prev_width = mid2, seed_width
-    for i in range(mid1 + 1, n1):
-        lo, hi = prev + 1, min(n2 - 1, prev + eta)
-        if hi < lo:
-            break
-        j, width = _windowed_argmin(pts1[i], pts2, lo, hi)
-        if abs(width - prev_width) > cfg.width_jump_threshold:
-            return None
-        pairs[i] = j
-        prev, prev_width = j, width
+    # backward with window [prev - eta, prev - 1], then forward with [prev + 1, prev + eta]
+    for step, dlo, dhi, end in ((-1, -eta, -1, -1), (1, 1, eta, n1)):
+        prev, prev_width = mid2, seed_width
+        for i in range(mid1 + step, end, step):
+            lo, hi = max(0, prev + dlo), min(n2 - 1, prev + dhi)
+            if hi < lo:
+                break
+            j, width = _windowed_argmin(pts1[i], pts2, lo, hi)
+            if abs(width - prev_width) > cfg.width_jump_threshold:
+                return None
+            pairs[i] = j
+            prev, prev_width = j, width
 
     return PairMap(pairs=dict(sorted(pairs.items())), source_id=l1.id, target_id=l2.id)
 

@@ -143,7 +143,6 @@ class PairSolve:
     z_left: np.ndarray
     z_right: np.ndarray
     c_hat: float
-    objective: float
     iters: int
     stop: str            # one of STOP_REASONS
     clamped_left: bool
@@ -159,14 +158,7 @@ def prepare_pair(left: Lane2D, right: Lane2D, h_cam: float,
     if pm is None:
         raise NoPairing(f"width jump rejected pairing of '{left.id}' and '{right.id}'")
 
-    items = pm.items_sorted()
-    if pm.source_id == left.id:
-        i_idx = np.array([i for i, _ in items])
-        j_idx = np.array([j for _, j in items])
-    else:
-        i_idx = np.array([j for _, j in items])
-        j_idx = np.array([i for i, _ in items])
-
+    i_idx, j_idx = pm.indices(left.id)
     a = left.points[i_idx]
     b = right.points[j_idx]
     d_flat = np.linalg.norm(a - b, axis=1)
@@ -233,7 +225,7 @@ def solve_boundary_pair(left: Lane2D, right: Lane2D, h_cam: float,
     clamped_left = bool(np.any(zl > limit))
     clamped_right = bool(np.any(zr > limit))
     return PairSolve(z_left=np.minimum(zl, limit), z_right=np.minimum(zr, limit),
-                     c_hat=ctx.c_hat, objective=value, iters=iters, stop=stop,
+                     c_hat=ctx.c_hat, iters=iters, stop=stop,
                      clamped_left=clamped_left, clamped_right=clamped_right, trace=trace)
 
 

@@ -345,8 +345,8 @@ def test_evaluate_gt_vs_gt(tmp_path):
 
 def test_evaluate_csv_quotes_frame_ids_with_comma_quote_or_newline(tmp_path):
     scenes = tmp_path / "scenes.jsonl"
-    run(["generate", "--count", 3, "--seed", 12, "--out", scenes])
-    ids = ['a,"b"\nc', "plain", ","]
+    run(["generate", "--count", 4, "--seed", 12, "--out", scenes])
+    ids = ['a,"b"\nc', "plain", ",", "x\ry"]
     write_scenes([dataclasses.replace(s, frame_id=i) for s, i in zip(read_scenes(scenes), ids)],
                  scenes)
     out = tmp_path / "frames.csv"
@@ -356,7 +356,7 @@ def test_evaluate_csv_quotes_frame_ids_with_comma_quote_or_newline(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["frame_id", "tp", "fp", "fn", "x_near", "x_far", "z_near", "z_far"]
     assert [row[0] for row in rows[1:]] == ids
-    assert [len(row) for row in rows] == [8] * 4
+    assert [len(row) for row in rows] == [8] * 5
     # a plain id is written as it is, each number as repr writes it
     assert "\nplain,2,0,0,0.0,0.0,0.0,0.0\n" in out.read_text(encoding="utf-8")
 
@@ -397,6 +397,25 @@ def test_evaluate_prediction_with_duplicate_lane_ids_exit_2(tmp_path, capsys):
     assert run(["evaluate", gt, pred, "--out", tmp_path / "report.json"]) == 2
     assert "pred.jsonl:2: frame 'synth_8_00001': lane ids must be unique" \
         in capsys.readouterr().err
+
+
+def test_duplicate_frame_id_in_one_file_exit_2(tmp_path, capsys):
+    scenes = tmp_path / "scenes.jsonl"
+    run(["generate", "--count", 3, "--seed", 8, "--out", scenes])
+    first = read_scenes(scenes)[0]
+    dup = tmp_path / "dup.jsonl"
+    # a 4th line repeating frame 0 with one lane
+    dup.write_bytes(scenes.read_bytes() + json.dumps(
+        {**first.to_dict(), "lanes": first.to_dict()["lanes"][:1]}).encode() + b"\n")
+    report, figs = tmp_path / "report.json", tmp_path / "figs"
+    for args in [["evaluate", scenes, dup, "--out", report],
+                 ["evaluate", dup, scenes, "--out", report],
+                 ["plot", "--in", dup, "--out", figs],
+                 ["plot", "--in", scenes, "--pred", dup, "--out", figs]]:
+        capsys.readouterr()
+        assert run(args) == 2
+        assert "dup.jsonl:4: duplicate frame id 'synth_8_00000'" in capsys.readouterr().err
+    assert not report.exists() and list(figs.glob("*")) == []
 
 
 def test_plot_empty_scene_list(tmp_path):
@@ -444,7 +463,8 @@ def test_plot_report_chart(tmp_path, capsys):
     frame = doc["per_frame"][0]
     pair = frame["pairs"][0]
     for broken in [{"per_frame": []}, {**doc, "f_score": "0.9"}, {**doc, "pr_curve": [5]},
-                   {**doc, "per_frame": [{"frame_id": "f", "tp": 1.5}]}]:
+                   {**doc, "per_frame": [{"frame_id": "f", "tp": 1.5}]},
+                   {**doc, "matched_pairs": ["abc"]}, {**doc, "matched_pairs": [["f", "g"]]}]:
         bad.write_text(json.dumps(broken))
         capsys.readouterr()
         assert run(["plot", "--in", bad, "--out", out_dir]) == 2

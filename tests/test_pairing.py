@@ -105,6 +105,15 @@ def test_swap_invariance():
         assert (a is None) == (b is None)
         if a is not None:
             assert a.pairs == b.pairs and a.source_id == b.source_id
+            # indices are oriented to the lane named, whatever the argument order
+            assert [v.tolist() for v in a.indices(l1.id)] == \
+                [v.tolist() for v in b.indices(l1.id)]
+            keys = sorted(a.pairs)
+            on_source = [keys, [a.pairs[k] for k in keys]]
+            assert [v.tolist() for v in a.indices(a.source_id)] == on_source
+            assert [v.tolist() for v in a.indices(a.target_id)] == on_source[::-1]
+            with pytest.raises(InvalidInput, match="not 'c'"):
+                a.indices("c")
 
 
 def test_matches_windowed_oracle_on_random_parallel_instances():
@@ -154,9 +163,23 @@ def test_window_bound_property():
         l2 = straight_lane("b", 3.5, ys)
         pm = match_point_pairs(l1, l2, PairingConfig(window=eta))
         assert pm is not None
-        for i, j in pm.items_sorted():
+        for i, j in zip(*pm.indices(l1.id)):
             same_y = int(np.argmin(np.abs(l2.points[:, 1] - l1.points[i, 1])))
             assert abs(j - same_y) <= eta
+
+
+@pytest.mark.parametrize("eta", [1, 2, 3])
+def test_walk_reaches_exactly_window_past_the_previous_match(eta):
+    # the longer boundary is sampled four times as densely, so the same-y
+    # point is always beyond the window and each step takes its far end:
+    # from the seed (5 -> 20) the match moves exactly eta per step, both ways
+    ys = np.arange(0.0, 11.0, 1.0)
+    l1 = straight_lane("a", 0.0, ys)
+    l2 = straight_lane("b", 3.5, np.arange(0.0, 10.01, 0.25))
+    cfg = PairingConfig(window=eta, width_jump_threshold=100.0)
+    pm = match_point_pairs(l1, l2, cfg)
+    assert pm.pairs == {i: 20 + eta * (i - 5) for i in range(len(ys))}
+    assert pm.pairs == windowed_walk_oracle(l1, l2, eta, 100.0)
 
 
 def test_equals_global_nearest_neighbor_on_constant_width():
