@@ -174,25 +174,24 @@ def _looks_like_report(path) -> bool:
 
 
 def cmd_plot(args) -> int:
+    """Every input is read and every figure path checked before --out is
+    made, so a plot that exits 2 leaves nothing behind."""
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if _looks_like_report(args.in_path):
         report = ev.read_report(args.in_path)
+        out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "report.svg"
         plot.write_svg(plot.render_report_svg(report), path)
         print(f"wrote {path}", file=sys.stderr)
         return EXIT_OK
     scenes = model.read_scenes(args.in_path)
-    pred_by_frame = {}
-    if args.pred:
-        for p in model.read_predictions(args.pred):
-            pred_by_frame[p.frame_id] = p.lanes
-    count = 0
-    for scene in scenes:
-        svg = plot.render_scene_svg(scene, pred_by_frame.get(scene.frame_id))
-        plot.write_svg(svg, _frame_file(out_dir, scene.frame_id, ".svg"))
-        count += 1
-    print(f"wrote {count} figures to {out_dir}", file=sys.stderr)
+    pred_by_frame = {p.frame_id: p.lanes for p in model.read_predictions(args.pred)} \
+        if args.pred else {}
+    paths = [_frame_file(out_dir, scene.frame_id, ".svg") for scene in scenes]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for scene, path in zip(scenes, paths):
+        plot.write_svg(plot.render_scene_svg(scene, pred_by_frame.get(scene.frame_id)), path)
+    print(f"wrote {len(paths)} figures to {out_dir}", file=sys.stderr)
     return EXIT_OK
 
 

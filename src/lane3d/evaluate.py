@@ -10,9 +10,9 @@ matches and, among those, minimizes the total mean pointwise distance.
 Near/far buckets split at y = 40 m: y < 40 is near, y >= 40 is far.
 
 The probability-threshold sweep only changes which predictions a frame
-keeps, so each frame's lanes are resampled and its cost, admissibility and
-co-visibility tables are built once; the assignment then runs once per
-distinct kept-prediction set, on those tables' kept columns.
+keeps, so each frame's lanes are resampled and its cost and admissibility
+tables are built once; the assignment then runs once per distinct
+kept-prediction set, on those tables' kept columns.
 """
 
 from __future__ import annotations
@@ -59,10 +59,9 @@ class MatchConfig(Config):
 @dataclass
 class PairStats:
     """Per-matched-pair offset sums, bucketed near/far, for aggregation and
-    for the joint metric's set intersection. The report writes a pair
-    inside its frame, so without the frame id."""
+    for the joint metric's set intersection. Its frame is the FrameBreakdown
+    that holds it."""
 
-    frame_id: str = field(metadata={"json_key": None})
     gt_id: str
     pred_id: str
     cost: float
@@ -75,24 +74,19 @@ class PairStats:
 
 
 @dataclass
-class FrameMatching:
+class FrameBreakdown:
+    """One frame's matching: its counts and its matched pairs."""
+
     frame_id: str
-    matches: list[tuple[int, int, float]]   # (gt index, pred index, cost)
-    unmatched_gt: list[int]
-    unmatched_pred: list[int]
-    pair_stats: list[PairStats]
+    tp: int
+    fp: int
+    fn: int
+    pair_stats: list[PairStats] = field(metadata={"json_key": "pairs"})
 
     @property
-    def tp(self) -> int:
-        return len(self.matches)
-
-    @property
-    def fp(self) -> int:
-        return len(self.unmatched_pred)
-
-    @property
-    def fn(self) -> int:
-        return len(self.unmatched_gt)
+    def matches(self) -> list[tuple[str, str, float]]:
+        """(GT id, prediction id, cost) of each matched pair."""
+        return [(s.gt_id, s.pred_id, s.cost) for s in self.pair_stats]
 
 
 def _min_cost_assignment(cost: list[list[float]]) -> list[int]:
@@ -185,7 +179,6 @@ class _FrameTables:
     pred_rs: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     cost: np.ndarray            # mean distance; inf without co-visibility
     admissible: np.ndarray
-    covis: dict                 # (gt index, pred index) -> co-visible refs
 
 
 def _frame_tables(gt: list[Lane3D], pred: list[Lane3D], cfg: MatchConfig,
@@ -196,7 +189,6 @@ def _frame_tables(gt: list[Lane3D], pred: list[Lane3D], cfg: MatchConfig,
 
     cost = np.full((len(gt), len(pred)), np.inf)
     admissible = np.zeros(cost.shape, dtype=bool)
-    covis_of = {}
     for gi, (gx, gz, gvis) in enumerate(gt_rs):
         for pi, (px, pz, pvis) in enumerate(pred_rs):
             covis = gvis & pvis
@@ -205,53 +197,42 @@ def _frame_tables(gt: list[Lane3D], pred: list[Lane3D], cfg: MatchConfig,
             d = np.sqrt((gx[covis] - px[covis]) ** 2 + (gz[covis] - pz[covis]) ** 2)
             cost[gi, pi] = float(np.mean(d))
             admissible[gi, pi] = float(np.mean(d <= cfg.point_tolerance)) >= cfg.match_fraction
-            covis_of[(gi, pi)] = covis
     return _FrameTables(gt=gt, pred=pred, gt_rs=gt_rs, pred_rs=pred_rs,
-                        cost=cost, admissible=admissible, covis=covis_of)
+                        cost=cost, admissible=admissible)
 
 
 def _match_columns(tables: _FrameTables, cols: list[int], cfg: MatchConfig,
-                   frame_id: str) -> FrameMatching:
+                   frame_id: str) -> FrameBreakdown:
     """Matching against the predictions in columns `cols` (ascending) of the
-    frame's tables; prediction indices in the result are positions in `cols`.
-    Every cost entry is computed independently, so this equals matching the
-    kept predictions from scratch."""
+    frame's tables. Every cost entry is computed independently, so this
+    equals matching the kept predictions from scratch."""
     cost = tables.cost[:, cols]
+    # an admissible mean distance can overflow to inf; the solver, which
+    # would never end on it, reads it as 0 (the pair keeps its inf cost)
     cost_for_solver = np.where(np.isfinite(cost), cost, 0.0)
-    matches = _assignment(cost_for_solver, tables.admissible[:, cols])
-
     far = np.asarray(cfg.eval_y_refs, dtype=float) >= cfg.near_far_split
     stats = []
-    out_matches = []
-    for gi, pi in matches:
-        col = cols[pi]
-        covis = tables.covis[(gi, col)]
-        gx, gz, _ = tables.gt_rs[gi]
-        px, pz, _ = tables.pred_rs[col]
+    for gi, pi in _assignment(cost_for_solver, tables.admissible[:, cols]):
+        gx, gz, gvis = tables.gt_rs[gi]
+        px, pz, pvis = tables.pred_rs[cols[pi]]
+        covis = gvis & pvis
         dx = np.abs(gx - px)
         dz = np.abs(gz - pz)
         near_sel = covis & ~far
         far_sel = covis & far
         stats.append(PairStats(
-            frame_id=frame_id, gt_id=tables.gt[gi].id, pred_id=tables.pred[col].id,
+            gt_id=tables.gt[gi].id, pred_id=tables.pred[cols[pi]].id,
             cost=float(cost[gi, pi]),
             x_near_sum=float(np.sum(dx[near_sel])), x_far_sum=float(np.sum(dx[far_sel])),
             z_near_sum=float(np.sum(dz[near_sel])), z_far_sum=float(np.sum(dz[far_sel])),
             near_count=int(np.sum(near_sel)), far_count=int(np.sum(far_sel))))
-        out_matches.append((gi, pi, float(cost[gi, pi])))
-
-    matched_gt = {gi for gi, _, _ in out_matches}
-    matched_pred = {pi for _, pi, _ in out_matches}
-    return FrameMatching(
-        frame_id=frame_id,
-        matches=out_matches,
-        unmatched_gt=[i for i in range(len(tables.gt)) if i not in matched_gt],
-        unmatched_pred=[i for i in range(len(cols)) if i not in matched_pred],
-        pair_stats=stats)
+    tp = len(stats)
+    return FrameBreakdown(frame_id=frame_id, tp=tp, fp=len(cols) - tp,
+                          fn=len(tables.gt) - tp, pair_stats=stats)
 
 
 def match_lanes(gt: list[Lane3D], pred: list[tuple[Lane3D, float]],
-                cfg: MatchConfig, h_cam: float, frame_id: str = "") -> FrameMatching:
+                cfg: MatchConfig, h_cam: float, frame_id: str = "") -> FrameBreakdown:
     """Min-cost matching between GT and predicted lanes of one frame.
 
     Predictions arrive as (lane, prob) tuples already filtered at the
@@ -276,7 +257,7 @@ def fscore_from_counts(tp: int, fp: int, fn: int) -> FScore:
     return FScore(precision=precision, recall=recall, f_score=f)
 
 
-def compute_fscore(matchings: list[FrameMatching]) -> FScore:
+def compute_fscore(matchings: list[FrameBreakdown]) -> FScore:
     """Precision/recall/F over matchings computed for one prob threshold."""
     tp = sum(m.tp for m in matchings)
     fp = sum(m.fp for m in matchings)
@@ -329,15 +310,6 @@ def compute_offset_errors(pair_stats: list[PairStats]) -> OffsetErrors:
         empty=not pair_stats)
 
 
-@dataclass
-class FrameBreakdown:
-    frame_id: str
-    tp: int
-    fp: int
-    fn: int
-    pair_stats: list[PairStats] = field(metadata={"json_key": "pairs"})
-
-
 # default of each number field in a report, by type: from_dict coerces with it
 _REPORT_NUMBERS = dict.fromkeys(("f_score", "ap", "precision", "recall", "best_threshold",
                                  "x_err_near", "x_err_far", "z_err_near", "z_err_far"), 0.0)
@@ -349,11 +321,11 @@ _PAIR_NUMBERS = {**dict.fromkeys(("cost", "x_near_sum", "x_far_sum", "z_near_sum
 def _json_form(value):
     """A report value in its JSON form: a dataclass becomes an object of its
     fields in declaration order, each under the json_key of its metadata if
-    it has one (None leaves the field out), else under its name; a list or
-    tuple becomes a list; anything else is written as it is."""
+    it has one, else under its name; a list or tuple becomes a list;
+    anything else is written as it is."""
     if is_dataclass(value):
         return {f.metadata.get("json_key", f.name): _json_form(getattr(value, f.name))
-                for f in fields(value) if f.metadata.get("json_key", f.name)}
+                for f in fields(value)}
     if isinstance(value, (list, tuple)):
         return [_json_form(v) for v in value]
     return value
@@ -393,8 +365,8 @@ class EvalReport:
             FrameBreakdown(
                 frame_id=fb["frame_id"], **_numbers("frame", fb, _FRAME_COUNTS),
                 pair_stats=[
-                    PairStats(frame_id=fb["frame_id"], gt_id=p["gt_id"],
-                              pred_id=p["pred_id"], **_numbers("pair", p, _PAIR_NUMBERS))
+                    PairStats(gt_id=p["gt_id"], pred_id=p["pred_id"],
+                              **_numbers("pair", p, _PAIR_NUMBERS))
                     for p in fb["pairs"]
                 ])
             for fb in frames
@@ -464,20 +436,19 @@ def evaluate_frames(gt_scenes: list[Scene], predictions: list[Prediction],
     sweeps = [(threshold, compute_fscore(matchings), matchings)
               for threshold, matchings in zip(cfg.prob_thresholds, per_threshold)]
     ap = compute_ap([(fs.precision, fs.recall) for _, fs, _ in sweeps])
-    best_threshold, best_fs, best_matchings = max(
+    best_threshold, best_fs, best_frames = max(
         sweeps, key=lambda item: (item[1].f_score, -item[0]))
 
-    all_stats = [s for m in best_matchings for s in m.pair_stats]
-    offsets = compute_offset_errors(all_stats)
+    offsets = compute_offset_errors([s for fb in best_frames for s in fb.pair_stats])
     return EvalReport(
         f_score=best_fs.f_score, ap=ap, precision=best_fs.precision,
         recall=best_fs.recall, best_threshold=best_threshold,
         x_err_near=offsets.x_near, x_err_far=offsets.x_far,
         z_err_near=offsets.z_near, z_err_far=offsets.z_far,
         empty=offsets.empty,
-        matched_pairs=[(s.frame_id, s.gt_id, s.pred_id) for s in all_stats],
-        per_frame=[FrameBreakdown(frame_id=m.frame_id, tp=m.tp, fp=m.fp, fn=m.fn,
-                                  pair_stats=m.pair_stats) for m in best_matchings],
+        matched_pairs=[(fb.frame_id, s.gt_id, s.pred_id)
+                       for fb in best_frames for s in fb.pair_stats],
+        per_frame=best_frames,
         pr_curve=[(t, fs.precision, fs.recall) for t, fs, _ in sweeps])
 
 
@@ -496,13 +467,13 @@ def joint_offset_errors(reports: list[EvalReport]) -> list[JointErrors]:
         raise InvalidInput("joint metric needs at least one report")
     key_sets = []
     for rep in reports:
-        key_sets.append({(s.frame_id, s.gt_id)
+        key_sets.append({(fb.frame_id, s.gt_id)
                          for fb in rep.per_frame for s in fb.pair_stats})
     common = set.intersection(*key_sets)
     out = []
     for rep in reports:
         stats = [s for fb in rep.per_frame for s in fb.pair_stats
-                 if (s.frame_id, s.gt_id) in common]
+                 if (fb.frame_id, s.gt_id) in common]
         errors = compute_offset_errors(stats)
         out.append(JointErrors(x_far=errors.x_far, z_far=errors.z_far,
                                pair_count=len(stats), empty_intersection=not common))

@@ -222,7 +222,24 @@ def test_frame_id_that_is_not_a_plain_name_exit_2(tmp_path, frame_id):
     # plot names a file after each frame, and writes none outside its directory
     assert run(["plot", "--in", scenes, "--out", work / "figs"]) == 2
     assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
-        "work", "work/figs", "work/flat.jsonl", "work/rec.jsonl", "work/scenes.jsonl"]
+        "work", "work/flat.jsonl", "work/rec.jsonl", "work/scenes.jsonl"]
+
+
+def test_plot_that_exits_2_writes_nothing(tmp_path):
+    """Every input is read and every figure named before --out is made: a
+    bad frame id in the last of three frames, or a report that does not
+    read, leaves no directory and no figure."""
+    scenes = tmp_path / "scenes.jsonl"
+    run(["generate", "--count", 3, "--seed", 14, "--out", scenes])
+    frames = read_scenes(scenes)
+    frames[2].frame_id = "nested/escaped"
+    write_scenes(frames, scenes)
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"per_frame": []}))
+    figs = tmp_path / "figs"
+    for args in [["--in", scenes], ["--in", scenes, "--pred", scenes], ["--in", report]]:
+        assert run(["plot", *args, "--out", figs]) == 2
+        assert not figs.exists()
 
 
 def test_shipped_configs_parse_to_the_code_defaults():
@@ -415,7 +432,7 @@ def test_duplicate_frame_id_in_one_file_exit_2(tmp_path, capsys):
         capsys.readouterr()
         assert run(args) == 2
         assert "dup.jsonl:4: duplicate frame id 'synth_8_00000'" in capsys.readouterr().err
-    assert not report.exists() and list(figs.glob("*")) == []
+    assert not report.exists() and not figs.exists()
 
 
 def test_plot_empty_scene_list(tmp_path):
@@ -548,6 +565,7 @@ def test_input_that_is_not_utf8_exit_2_naming_it(tmp_path, capsys, command, wher
     capsys.readouterr()
     assert run([paths.get(arg, arg) for arg in command]) == 2
     assert f"{where} not valid UTF-8" in capsys.readouterr().err
+    assert not paths["OUT"].exists()
 
 
 # line 2 of BAD holds a lane point the parser reads but the record check

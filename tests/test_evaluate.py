@@ -1,6 +1,8 @@
 import collections
 import itertools
 import json
+import math
+import signal
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 import lane3d.evaluate as evaluate_module
 from lane3d.cli import main
 from lane3d.errors import InvalidInput, InvariantViolation, ParseError
-from lane3d.evaluate import (EvalReport, FrameBreakdown, MatchConfig, compute_ap,
+from lane3d.evaluate import (EvalReport, MatchConfig, compute_ap,
                              compute_fscore, compute_offset_errors,
                              evaluate_frames, fscore_from_counts,
                              joint_offset_errors, match_lanes, read_report,
@@ -63,6 +65,44 @@ def test_match_displaced_lane_unmatched():
     pred = lanes_at([10.0])
     m = match_lanes(gt, as_pred(pred), MatchConfig(), H_CAM)
     assert m.tp == 0 and m.fp == 1 and m.fn == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_admissible_pair_whose_mean_distance_overflows_is_matched():
+    """One reference 1e200 m off leaves 9 of 10 within tolerance, so the pair
+    is admissible while its mean distance overflows to inf: the solver reads
+    that cost as 0 and ends (on inf it would not), and the pair keeps it."""
+    gt = lanes_at([-1.75, 1.75])
+    points = gt[0].points.copy()
+    points[-1, 0] = 1e200
+    far_off = Lane3D(id="far_off", points=points, visibility=gt[0].visibility)
+
+    def hung(signum, frame):
+        raise TimeoutError("the assignment did not end")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        m = match_lanes(gt, as_pred([far_off, gt[1]]), MatchConfig(), H_CAM)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (m.tp, m.fp, m.fn) == (2, 0, 0)
+    assert m.matches == [("lane_0", "far_off", math.inf), ("lane_1", "lane_1", 0.0)]
+
+
+def test_match_counts_and_offsets_over_covisible_refs_only():
+    """Three GT lanes and one prediction: tp 1, fp 0, fn 2. The prediction
+    is hidden up to y = 12 and ends at y = 60, so its pair's offsets are
+    summed over the co-visible references 15..60 only."""
+    gt = lanes_at([-1.75, 1.75, 5.25])
+    ys = np.arange(4.0, 61.0, 4.0)
+    pred = straight_lane("p", 1.85, ys, vis=(ys > 12.0).astype(int))
+    m = match_lanes(gt, as_pred([pred]), MatchConfig(), H_CAM, frame_id="f")
+    assert (m.tp, m.fp, m.fn) == (1, 0, 2)
+    (s,) = m.pair_stats
+    assert (s.gt_id, s.pred_id, s.near_count, s.far_count) == ("lane_1", "p", 3, 3)
+    assert s.x_near_sum == pytest.approx(0.3) and s.x_far_sum == pytest.approx(0.3)
 
 
 def test_match_equals_brute_force_small_instances():
@@ -238,9 +278,9 @@ def _reference_report(gt_scenes, predictions, cfg):
         x_err_near=offsets.x_near, x_err_far=offsets.x_far,
         z_err_near=offsets.z_near, z_err_far=offsets.z_far,
         empty=offsets.empty,
-        matched_pairs=[(s.frame_id, s.gt_id, s.pred_id) for s in all_stats],
-        per_frame=[FrameBreakdown(frame_id=m.frame_id, tp=m.tp, fp=m.fp, fn=m.fn,
-                                  pair_stats=m.pair_stats) for m in best_matchings],
+        matched_pairs=[(m.frame_id, s.gt_id, s.pred_id)
+                       for m in best_matchings for s in m.pair_stats],
+        per_frame=best_matchings,
         pr_curve=[(t, fs.precision, fs.recall) for t, fs, _ in sweeps])
 
 
@@ -346,6 +386,22 @@ def test_joint_excludes_lane_missed_by_other_method(pose):
     joint_a, joint_b = joint_offset_errors([rep_a, rep_b])
     assert joint_a.x_far == pytest.approx(0.1, abs=1e-9)   # lane_1 excluded
     assert joint_b.x_far == pytest.approx(0.1, abs=1e-9)
+
+
+def test_joint_keys_each_lane_by_its_own_frame(pose):
+    """The frames share lane ids; only lane_0 of f0 is matched by both."""
+    gt = [Scene(frame_id=f, camera=pose, lanes=lanes_at([-1.75, 1.75])) for f in ("f0", "f1")]
+    lanes = gt[0].lanes
+    pred_a = [Scene(frame_id="f0", camera=pose, lanes=[_biased_lane(lanes[0], dx_far=0.1)]),
+              Scene(frame_id="f1", camera=pose,
+                    lanes=[_biased_lane(lane, dx_far=0.5) for lane in lanes])]
+    pred_b = [Scene(frame_id="f0", camera=pose,
+                    lanes=[_biased_lane(lane, dx_far=0.3) for lane in lanes]),
+              Scene(frame_id="f1", camera=pose, lanes=[])]
+    joint_a, joint_b = joint_offset_errors([_report_for(pred_a, gt), _report_for(pred_b, gt)])
+    assert (joint_a.pair_count, joint_b.pair_count) == (1, 1)
+    assert joint_a.x_far == pytest.approx(0.1, abs=1e-9)
+    assert joint_b.x_far == pytest.approx(0.3, abs=1e-9)
 
 
 def test_joint_single_report_equals_own_errors(pose):

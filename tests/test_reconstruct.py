@@ -162,6 +162,28 @@ def test_width_jump_rejection_propagates():
         solve_boundary_pair(left, right, H_CAM)
 
 
+# the left boundary of three, which its pair with "mid" rejects
+REJECTED_LEFT = {
+    "width-jump": (np.where(np.arange(20.0) < 10.0, -3.5, -8.0), np.arange(20.0), NoPairing),
+    "coincident": (np.zeros(20), np.arange(20.0), DegeneratePair),
+    "two-points": (np.full(2, -3.5), np.arange(2.0), InvalidInput),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_LEFT)
+def test_one_rejected_pair_marks_only_its_lanes_no_pairing(case):
+    x, ys, error = REJECTED_LEFT[case]
+    left = Lane2D(id="left", points=np.column_stack([x, ys]),
+                  visibility=np.ones(len(ys), dtype=int))
+    mid, right = flat_lane("mid", 0.0, np.arange(20.0)), flat_lane("right", 3.5, np.arange(20.0))
+    with pytest.raises(error):
+        solve_boundary_pair(left, mid, H_CAM)
+    res = solve_frame([left, mid, right], H_CAM)
+    assert res.statuses == {"left": "no_pairing", "mid": "ok", "right": "ok"}
+    assert [lane.id for lane in res.lanes] == ["mid", "right"]
+    assert len(res.stops) == 1
+
+
 def test_heights_clamped_below_camera():
     # widths exploding far beyond the near-range estimate imply z -> h_cam;
     # the solver clamps at h_cam - 1e-6 and flags the lane
