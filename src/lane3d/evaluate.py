@@ -4,28 +4,34 @@ errors, the joint metric, and the dataset splits.
 Lanes are resampled at the evaluation y-references on the flat ground plane
 (linear interpolation of flat x and of height z against flat y, visibility
 interpolated and thresholded at 0.5). A GT/prediction edge is admissible
-when at least match_fraction of the co-visible references lie within
-point_tolerance; the assignment then maximizes the number of admissible
-matches and, among those, minimizes the total mean pointwise distance.
+when its mean pointwise distance is finite (squaring overflows beyond about
+1.3e154 m) and at least match_fraction of the co-visible references lie
+within point_tolerance; the assignment then maximizes the number of
+admissible matches and, among those, minimizes the total mean distance.
 Near/far buckets split at y = 40 m: y < 40 is near, y >= 40 is far.
 
 The probability-threshold sweep only changes which predictions a frame
 keeps, so each frame's lanes are resampled and its cost and admissibility
 tables are built once; the assignment then runs once per distinct
 kept-prediction set, on those tables' kept columns.
+
+A report is its matchings, the sweep (pr_curve) and the best-F threshold's
+per-frame matchings (per_frame): every other number derives from them, and
+it reads back only if each key it writes holds the value it would write.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import astuple, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .errors import InvalidInput
 from .model import (Config, Lane3D, Prediction, Scene, _coerce, _is_utf8, _numbers,
-                    read_json, write_json)
+                    _same_json, read_json, write_json)
 from .projection import resample_flat
 
 DEFAULT_EVAL_Y_REFS = (5.0, 10.0, 15.0, 20.0, 30.0, 40.0, 50.0, 60.0, 80.0, 100.0)
@@ -75,13 +81,16 @@ class PairStats:
 
 @dataclass
 class FrameBreakdown:
-    """One frame's matching: its counts and its matched pairs."""
+    """One frame's matching: its counts and its matched pairs, one per tp."""
 
     frame_id: str
-    tp: int
+    tp: int = field(init=False)
     fp: int
     fn: int
     pair_stats: list[PairStats] = field(metadata={"json_key": "pairs"})
+
+    def __post_init__(self):
+        self.tp = len(self.pair_stats)
 
     @property
     def matches(self) -> list[tuple[str, str, float]]:
@@ -195,8 +204,9 @@ def _frame_tables(gt: list[Lane3D], pred: list[Lane3D], cfg: MatchConfig,
             if not np.any(covis):
                 continue
             d = np.sqrt((gx[covis] - px[covis]) ** 2 + (gz[covis] - pz[covis]) ** 2)
-            cost[gi, pi] = float(np.mean(d))
-            admissible[gi, pi] = float(np.mean(d <= cfg.point_tolerance)) >= cfg.match_fraction
+            cost[gi, pi] = mean = float(np.mean(d))
+            admissible[gi, pi] = math.isfinite(mean) and \
+                float(np.mean(d <= cfg.point_tolerance)) >= cfg.match_fraction
     return _FrameTables(gt=gt, pred=pred, gt_rs=gt_rs, pred_rs=pred_rs,
                         cost=cost, admissible=admissible)
 
@@ -207,12 +217,9 @@ def _match_columns(tables: _FrameTables, cols: list[int], cfg: MatchConfig,
     frame's tables. Every cost entry is computed independently, so this
     equals matching the kept predictions from scratch."""
     cost = tables.cost[:, cols]
-    # an admissible mean distance can overflow to inf; the solver, which
-    # would never end on it, reads it as 0 (the pair keeps its inf cost)
-    cost_for_solver = np.where(np.isfinite(cost), cost, 0.0)
     far = np.asarray(cfg.eval_y_refs, dtype=float) >= cfg.near_far_split
     stats = []
-    for gi, pi in _assignment(cost_for_solver, tables.admissible[:, cols]):
+    for gi, pi in _assignment(cost, tables.admissible[:, cols]):
         gx, gz, gvis = tables.gt_rs[gi]
         px, pz, pvis = tables.pred_rs[cols[pi]]
         covis = gvis & pvis
@@ -226,9 +233,8 @@ def _match_columns(tables: _FrameTables, cols: list[int], cfg: MatchConfig,
             x_near_sum=float(np.sum(dx[near_sel])), x_far_sum=float(np.sum(dx[far_sel])),
             z_near_sum=float(np.sum(dz[near_sel])), z_far_sum=float(np.sum(dz[far_sel])),
             near_count=int(np.sum(near_sel)), far_count=int(np.sum(far_sel))))
-    tp = len(stats)
-    return FrameBreakdown(frame_id=frame_id, tp=tp, fp=len(cols) - tp,
-                          fn=len(tables.gt) - tp, pair_stats=stats)
+    return FrameBreakdown(frame_id=frame_id, fp=len(cols) - len(stats),
+                          fn=len(tables.gt) - len(stats), pair_stats=stats)
 
 
 def match_lanes(gt: list[Lane3D], pred: list[tuple[Lane3D, float]],
@@ -250,35 +256,35 @@ class FScore:
     f_score: float
 
 
+def _f(precision: float, recall: float) -> float:
+    return 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+
+
 def fscore_from_counts(tp: int, fp: int, fn: int) -> FScore:
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
-    f = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return FScore(precision=precision, recall=recall, f_score=f)
+    return FScore(precision=precision, recall=recall, f_score=_f(precision, recall))
 
 
 def compute_fscore(matchings: list[FrameBreakdown]) -> FScore:
     """Precision/recall/F over matchings computed for one prob threshold."""
-    tp = sum(m.tp for m in matchings)
-    fp = sum(m.fp for m in matchings)
-    fn = sum(m.fn for m in matchings)
-    return fscore_from_counts(tp, fp, fn)
+    return fscore_from_counts(*(sum(getattr(m, key) for m in matchings)
+                                for key in ("tp", "fp", "fn")))
+
+
+def _best_point(pr_curve) -> int:
+    """Index of the sweep point (threshold, precision, recall) of highest F,
+    the lowest threshold among ties."""
+    return max(range(len(pr_curve)), key=lambda k: (_f(*pr_curve[k][1:]), -pr_curve[k][0]))
 
 
 def compute_ap(pr_points) -> float:
     """Interpolated average precision from (precision, recall) pairs: the
     area under the monotone precision envelope over recall, from recall 0."""
-    pts = sorted(((float(r), float(p)) for p, r in pr_points))
-    if not pts:
-        return 0.0
-    recalls = [r for r, _ in pts]
-    precisions = [p for _, p in pts]
-    env = precisions[:]
-    for i in range(len(env) - 2, -1, -1):
-        env[i] = max(env[i], env[i + 1])
-    ap = 0.0
-    prev_r = 0.0
-    for r, p in zip(recalls, env):
+    pts = sorted((float(r), float(p)) for p, r in pr_points)
+    env = itertools.accumulate(reversed([p for _, p in pts]), lambda later, p: max(p, later))
+    ap = prev_r = 0.0
+    for (r, _), p in zip(pts, list(env)[::-1]):
         ap += (r - prev_r) * p
         prev_r = r
     return ap
@@ -296,33 +302,22 @@ class OffsetErrors:
 def compute_offset_errors(pair_stats: list[PairStats]) -> OffsetErrors:
     """Mean absolute flat-ground x and height z errors over matched pairs'
     co-visible references; the near/far bucketing was fixed at match time."""
-    xn = sum(s.x_near_sum for s in pair_stats)
-    xf = sum(s.x_far_sum for s in pair_stats)
-    zn = sum(s.z_near_sum for s in pair_stats)
-    zf = sum(s.z_far_sum for s in pair_stats)
-    cn = sum(s.near_count for s in pair_stats)
-    cf = sum(s.far_count for s in pair_stats)
-    return OffsetErrors(
-        x_near=xn / cn if cn else 0.0,
-        x_far=xf / cf if cf else 0.0,
-        z_near=zn / cn if cn else 0.0,
-        z_far=zf / cf if cf else 0.0,
-        empty=not pair_stats)
+    xn, xf, zn, zf, cn, cf = (sum(getattr(s, key) for s in pair_stats) for key in (
+        "x_near_sum", "x_far_sum", "z_near_sum", "z_far_sum", "near_count", "far_count"))
+    return OffsetErrors(x_near=xn / cn if cn else 0.0, x_far=xf / cf if cf else 0.0,
+                        z_near=zn / cn if cn else 0.0, z_far=zf / cf if cf else 0.0,
+                        empty=not pair_stats)
 
 
-# default of each number field in a report, by type: from_dict coerces with it
-_REPORT_NUMBERS = dict.fromkeys(("f_score", "ap", "precision", "recall", "best_threshold",
-                                 "x_err_near", "x_err_far", "z_err_near", "z_err_far"), 0.0)
-_FRAME_COUNTS = dict.fromkeys(("tp", "fp", "fn"), 0)
+# default of each number field of a pair, by type: from_dict coerces with it
 _PAIR_NUMBERS = {**dict.fromkeys(("cost", "x_near_sum", "x_far_sum", "z_near_sum",
                                   "z_far_sum"), 0.0), "near_count": 0, "far_count": 0}
 
 
 def _json_form(value):
     """A report value in its JSON form: a dataclass becomes an object of its
-    fields in declaration order, each under the json_key of its metadata if
-    it has one, else under its name; a list or tuple becomes a list;
-    anything else is written as it is."""
+    fields in declaration order, each under its metadata's json_key if any,
+    else its name; a list or tuple becomes a list; anything else stays."""
     if is_dataclass(value):
         return {f.metadata.get("json_key", f.name): _json_form(getattr(value, f.name))
                 for f in fields(value)}
@@ -333,50 +328,67 @@ def _json_form(value):
 
 @dataclass
 class EvalReport:
-    f_score: float
-    ap: float
-    precision: float
-    recall: float
-    best_threshold: float
-    x_err_near: float
-    x_err_far: float
-    z_err_near: float
-    z_err_far: float
-    empty: bool
-    matched_pairs: list[tuple[str, str, str]]     # (frame_id, gt id, pred id)
+    """The sweep and the best threshold's matchings; the other fields derive from them."""
+
+    f_score: float = field(init=False)
+    ap: float = field(init=False)
+    precision: float = field(init=False)
+    recall: float = field(init=False)
+    best_threshold: float = field(init=False)
+    x_err_near: float = field(init=False)
+    x_err_far: float = field(init=False)
+    z_err_near: float = field(init=False)
+    z_err_far: float = field(init=False)
+    empty: bool = field(init=False)
+    matched_pairs: list[tuple[str, str, str]] = field(init=False)  # (frame_id, gt, pred)
     pr_curve: list[tuple[float, float, float]]    # (threshold, precision, recall)
     per_frame: list[FrameBreakdown]
+
+    def __post_init__(self):
+        if {len(point) for point in self.pr_curve} != {3}:
+            raise InvalidInput("pr_curve must be points [threshold, precision, recall]")
+        self.best_threshold, precision, recall = self.pr_curve[_best_point(self.pr_curve)]
+        fs = compute_fscore(self.per_frame)
+        if (fs.precision, fs.recall) != (precision, recall):
+            raise InvalidInput(f"per_frame gives (precision, recall) {fs.precision, fs.recall}, "
+                               f"the best pr_curve point {precision, recall}")
+        self.f_score, self.precision, self.recall = fs.f_score, fs.precision, fs.recall
+        self.ap = compute_ap([(p, r) for _, p, r in self.pr_curve])
+        self.matched_pairs = [(fb.frame_id, s.gt_id, s.pred_id)
+                              for fb in self.per_frame for s in fb.pair_stats]
+        self.x_err_near, self.x_err_far, self.z_err_near, self.z_err_far, self.empty = \
+            astuple(compute_offset_errors([s for fb in self.per_frame for s in fb.pair_stats]))
 
     def to_dict(self) -> dict:
         return _json_form(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
-        """Read to_dict's form back; numbers are coerced by field type. Ids must
-        be UTF-8 strings and empty a boolean, so that write_report can write it."""
+        """Read to_dict's form back: pr_curve and per_frame are parsed (numbers
+        coerced by field type, ids UTF-8 strings), and each key to_dict writes
+        must hold in d the JSON value it writes; other keys are ignored."""
         frames = d["per_frame"]
-        if not all(isinstance(t, list) and len(t) == 3 for t in d["matched_pairs"]):
-            raise InvalidInput("each matched pair must be a list of three ids")
-        ids = [s for t in d["matched_pairs"] for s in t] + [fb["frame_id"] for fb in frames] \
+        ids = [fb["frame_id"] for fb in frames] \
             + [p[key] for fb in frames for p in fb["pairs"] for key in ("gt_id", "pred_id")]
-        if not (all(map(_is_utf8, ids)) and isinstance(d["empty"], bool)):
-            raise InvalidInput("report ids must be UTF-8 strings and empty true or false")
-        per_frame = [
-            FrameBreakdown(
-                frame_id=fb["frame_id"], **_numbers("frame", fb, _FRAME_COUNTS),
-                pair_stats=[
-                    PairStats(gt_id=p["gt_id"], pred_id=p["pred_id"],
-                              **_numbers("pair", p, _PAIR_NUMBERS))
-                    for p in fb["pairs"]
-                ])
-            for fb in frames
-        ]
-        return cls(
-            **_numbers("report", d, _REPORT_NUMBERS),
-            empty=d["empty"],
-            matched_pairs=[tuple(t) for t in d["matched_pairs"]],
-            per_frame=per_frame,
-            pr_curve=[_coerce("pr_curve", (), t) for t in d["pr_curve"]])
+        if not all(map(_is_utf8, ids)):
+            raise InvalidInput("report ids must be UTF-8 strings")
+        report = cls(
+            pr_curve=[_coerce("pr_curve", (), t) for t in d["pr_curve"]],
+            per_frame=[
+                FrameBreakdown(
+                    frame_id=fb["frame_id"], **_numbers("frame", fb, {"fp": 0, "fn": 0}),
+                    pair_stats=[
+                        PairStats(gt_id=p["gt_id"], pred_id=p["pred_id"],
+                                  **_numbers("pair", p, _PAIR_NUMBERS))
+                        for p in fb["pairs"]
+                    ])
+                for fb in frames
+            ])
+        for key, value in report.to_dict().items():
+            if not _same_json(d[key], value):
+                raise InvalidInput(f"report key '{key}' does not match the value "
+                                   "its pr_curve and per_frame give")
+        return report
 
 
 def write_report(report: EvalReport, path) -> None:
@@ -433,23 +445,9 @@ def evaluate_frames(gt_scenes: list[Scene], predictions: list[Prediction],
                 by_kept[cols] = _match_columns(tables, list(cols), cfg, scene.frame_id)
             matchings.append(by_kept[cols])
 
-    sweeps = [(threshold, compute_fscore(matchings), matchings)
-              for threshold, matchings in zip(cfg.prob_thresholds, per_threshold)]
-    ap = compute_ap([(fs.precision, fs.recall) for _, fs, _ in sweeps])
-    best_threshold, best_fs, best_frames = max(
-        sweeps, key=lambda item: (item[1].f_score, -item[0]))
-
-    offsets = compute_offset_errors([s for fb in best_frames for s in fb.pair_stats])
-    return EvalReport(
-        f_score=best_fs.f_score, ap=ap, precision=best_fs.precision,
-        recall=best_fs.recall, best_threshold=best_threshold,
-        x_err_near=offsets.x_near, x_err_far=offsets.x_far,
-        z_err_near=offsets.z_near, z_err_far=offsets.z_far,
-        empty=offsets.empty,
-        matched_pairs=[(fb.frame_id, s.gt_id, s.pred_id)
-                       for fb in best_frames for s in fb.pair_stats],
-        per_frame=best_frames,
-        pr_curve=[(t, fs.precision, fs.recall) for t, fs, _ in sweeps])
+    pr_curve = [(threshold, fs.precision, fs.recall)
+                for threshold, fs in zip(cfg.prob_thresholds, map(compute_fscore, per_threshold))]
+    return EvalReport(pr_curve=pr_curve, per_frame=per_threshold[_best_point(pr_curve)])
 
 
 @dataclass(frozen=True)
@@ -465,11 +463,7 @@ def joint_offset_errors(reports: list[EvalReport]) -> list[JointErrors]:
     by every report; restricted to one report this equals its own errors."""
     if not reports:
         raise InvalidInput("joint metric needs at least one report")
-    key_sets = []
-    for rep in reports:
-        key_sets.append({(fb.frame_id, s.gt_id)
-                         for fb in rep.per_frame for s in fb.pair_stats})
-    common = set.intersection(*key_sets)
+    common = set.intersection(*({(f, gt) for f, gt, _ in rep.matched_pairs} for rep in reports))
     out = []
     for rep in reports:
         stats = [s for fb in rep.per_frame for s in fb.pair_stats

@@ -212,9 +212,7 @@ class PairMap:
     target_id: str
 
     def __post_init__(self):
-        keys = sorted(self.pairs)
-        _require(len(keys) == len(self.pairs), "pair keys must be unique")
-        vals = [self.pairs[k] for k in keys]
+        vals = [self.pairs[k] for k in sorted(self.pairs)]
         _require(all(b >= a for a, b in zip(vals, vals[1:])),
                  "pair values must be nondecreasing as keys increase")
 
@@ -447,6 +445,14 @@ def read_json(path, parse):
     """parse(the JSON document in path); see _parse_json for its errors."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return _parse_json(str(path), fh.read(), parse)
+
+
+def _same_json(a, b) -> bool:
+    """Whether a and b are the same JSON text; one orjson cannot write matches none."""
+    try:
+        return orjson.dumps(a) == orjson.dumps(b)
+    except TypeError:
+        return False
 
 
 def write_json(doc, path) -> None:

@@ -480,6 +480,7 @@ def test_plot_report_chart(tmp_path, capsys):
     frame = doc["per_frame"][0]
     pair = frame["pairs"][0]
     for broken in [{"per_frame": []}, {**doc, "f_score": "0.9"}, {**doc, "pr_curve": [5]},
+                   {**doc, "pr_curve": [[0.5]]}, {**doc, "pr_curve": [[0.5, 2, 3, 4]]},
                    {**doc, "per_frame": [{"frame_id": "f", "tp": 1.5}]},
                    {**doc, "matched_pairs": ["abc"]}, {**doc, "matched_pairs": [["f", "g"]]}]:
         bad.write_text(json.dumps(broken))
@@ -487,18 +488,58 @@ def test_plot_report_chart(tmp_path, capsys):
         assert run(["plot", "--in", bad, "--out", out_dir]) == 2
         assert "bad.json" in capsys.readouterr().err
     # a report read must be one write_report can write back: every id a
-    # UTF-8 string, and empty a boolean
-    for broken in [{**doc, "matched_pairs": [["f", "\ud800", "p"]]},
-                   {**doc, "per_frame": [{**frame, "frame_id": 5}]},
+    # UTF-8 string
+    for broken in [{**doc, "per_frame": [{**frame, "frame_id": 5}]},
                    {**doc, "per_frame": [{**frame, "frame_id": "\udcff"}]},
                    {**doc, "per_frame": [{**frame, "pairs": [{**pair, "gt_id": 1}]}]},
-                   {**doc, "per_frame": [{**frame, "pairs": [{**pair, "pred_id": None}]}]},
-                   {**doc, "empty": 0}, {**doc, "empty": "false"}]:
+                   {**doc, "per_frame": [{**frame, "pairs": [{**pair, "pred_id": None}]}]}]:
         bad.write_text(json.dumps(broken))
         capsys.readouterr()
         assert run(["plot", "--in", bad, "--out", out_dir]) == 2
-        assert "bad.json: report ids must be UTF-8 strings and empty true or false" \
-            in capsys.readouterr().err
+        assert "bad.json: report ids must be UTF-8 strings" in capsys.readouterr().err
+    # and the very report write_report writes: matched_pairs and empty are
+    # derived from per_frame, so any other value of theirs does not match
+    for key, value in [("matched_pairs", [["f", "\ud800", "p"]]), ("empty", 0),
+                       ("empty", "false")]:
+        bad.write_text(json.dumps({**doc, key: value}))
+        capsys.readouterr()
+        assert run(["plot", "--in", bad, "--out", out_dir]) == 2
+        assert f"bad.json: report key '{key}' does not match" in capsys.readouterr().err
+
+
+def _changed(doc, key, value):
+    """doc with its key set to value; the key per_frame sets the first
+    frame's tp."""
+    if key == "per_frame":
+        return {**doc, "per_frame": [{**doc["per_frame"][0], "tp": value}, *doc["per_frame"][1:]]}
+    return {**doc, key: value}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("f_score", 0.1), ("ap", 7.0), ("precision", 0.2), ("recall", 0.5),
+    ("best_threshold", 0.9), ("x_err_near", 0.25), ("x_err_far", 3.0), ("z_err_near", 0.5),
+    ("z_err_far", 1.5), ("empty", True), ("matched_pairs", []), ("per_frame", 5),
+])
+def test_plot_rejects_report_whose_derived_key_disagrees(tmp_path, capsys, key, value):
+    """Every number a report holds besides pr_curve and per_frame is derived
+    from them, as is each frame's tp from its pairs: a report that changes
+    one, to another value of the same JSON type, does not read."""
+    scenes = tmp_path / "scenes.jsonl"
+    report = tmp_path / "report.json"
+    run(["generate", "--count", 2, "--seed", 11, "--out", scenes])
+    run(["evaluate", scenes, scenes, "--out", report])
+    doc = json.loads(report.read_text())
+    assert doc["per_frame"][0]["tp"] == len(doc["per_frame"][0]["pairs"]) == 2
+    assert doc["best_threshold"] == 0.05 and not doc["empty"]
+    assert type(doc[key] if key != "per_frame" else doc[key][0]["tp"]) is type(value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_changed(doc, key, value)))
+    capsys.readouterr()
+    assert run(["plot", "--in", bad, "--out", tmp_path / "figs"]) == 2
+    assert f"bad.json: report key '{key}' does not match" in capsys.readouterr().err
+    # a key the report does not write is ignored
+    bad.write_text(json.dumps({**doc, "joint": [{"source": "x", "x_far": 0.0}]}))
+    assert run(["plot", "--in", bad, "--out", tmp_path / "figs"]) == 0
 
 
 def test_plot_tells_report_from_jsonl_by_first_line(tmp_path):

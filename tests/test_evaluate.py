@@ -1,7 +1,7 @@
 import collections
+import dataclasses
 import itertools
 import json
-import math
 import signal
 
 import numpy as np
@@ -10,14 +10,14 @@ import pytest
 import lane3d.evaluate as evaluate_module
 from lane3d.cli import main
 from lane3d.errors import InvalidInput, InvariantViolation, ParseError
-from lane3d.evaluate import (EvalReport, MatchConfig, compute_ap,
+from lane3d.evaluate import (EvalReport, FrameBreakdown, MatchConfig, compute_ap,
                              compute_fscore, compute_offset_errors,
                              evaluate_frames, fscore_from_counts,
                              joint_offset_errors, match_lanes, read_report,
                              resample_flat, split_extra_long, split_hard_easy,
                              write_report, write_report_csv)
 from lane3d.model import (Lane3D, Prediction, Scene, read_predictions, read_scenes,
-                          write_scenes)
+                          write_json, write_predictions, write_scenes)
 from lane3d.projection import lift_from_virtual_top_xy
 from lane3d.synth import RoadSpec, generate_scene
 
@@ -68,10 +68,11 @@ def test_match_displaced_lane_unmatched():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_admissible_pair_whose_mean_distance_overflows_is_matched():
-    """One reference 1e200 m off leaves 9 of 10 within tolerance, so the pair
-    is admissible while its mean distance overflows to inf: the solver reads
-    that cost as 0 and ends (on inf it would not), and the pair keeps it."""
+def test_pair_whose_mean_distance_overflows_is_not_admissible(tmp_path, pose):
+    """One reference 1e200 m off leaves 9 of 10 within tolerance, but its
+    squared distance, so the mean, overflows to inf: the pair is not
+    admissible, every cost the solver sees is finite, and the report
+    evaluate writes reads back."""
     gt = lanes_at([-1.75, 1.75])
     points = gt[0].points.copy()
     points[-1, 0] = 1e200
@@ -84,11 +85,19 @@ def test_admissible_pair_whose_mean_distance_overflows_is_matched():
     signal.setitimer(signal.ITIMER_REAL, 10.0)
     try:
         m = match_lanes(gt, as_pred([far_off, gt[1]]), MatchConfig(), H_CAM)
+        report = evaluate_frames(
+            [Scene(frame_id="f", camera=pose, lanes=gt)],
+            [Prediction(frame_id="f", camera=pose, lanes=[far_off, gt[1]], probs=[1.0, 1.0])])
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
-    assert (m.tp, m.fp, m.fn) == (2, 0, 0)
-    assert m.matches == [("lane_0", "far_off", math.inf), ("lane_1", "lane_1", 0.0)]
+    assert (m.tp, m.fp, m.fn) == (1, 1, 1)
+    assert m.matches == [("lane_1", "lane_1", 0.0)]
+    path, again = tmp_path / "report.json", tmp_path / "again.json"
+    write_report(report, path)
+    assert read_report(path) == report
+    write_report(read_report(path), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_match_counts_and_offsets_over_covisible_refs_only():
@@ -254,8 +263,9 @@ def test_evaluate_missing_frames_listed(pose):
 
 
 def _reference_report(gt_scenes, predictions, cfg):
-    """The protocol as stated: at every threshold, filter each frame's
-    predictions and match them from scratch."""
+    """Every report field as the protocol states it, by name: at every
+    threshold, filter each frame's predictions and match them from scratch,
+    then take AP over the sweep and the rest from the best-F threshold."""
     pred_by_frame = {p.frame_id: p for p in predictions}
     sweeps = []
     for threshold in cfg.prob_thresholds:
@@ -272,7 +282,7 @@ def _reference_report(gt_scenes, predictions, cfg):
         sweeps, key=lambda item: (item[1].f_score, -item[0]))
     all_stats = [s for m in best_matchings for s in m.pair_stats]
     offsets = compute_offset_errors(all_stats)
-    return EvalReport(
+    return dict(
         f_score=best_fs.f_score, ap=ap, precision=best_fs.precision,
         recall=best_fs.recall, best_threshold=best_threshold,
         x_err_near=offsets.x_near, x_err_far=offsets.x_far,
@@ -280,8 +290,8 @@ def _reference_report(gt_scenes, predictions, cfg):
         empty=offsets.empty,
         matched_pairs=[(m.frame_id, s.gt_id, s.pred_id)
                        for m in best_matchings for s in m.pair_stats],
-        per_frame=best_matchings,
-        pr_curve=[(t, fs.precision, fs.recall) for t, fs, _ in sweeps])
+        pr_curve=[(t, fs.precision, fs.recall) for t, fs, _ in sweeps],
+        per_frame=best_matchings)
 
 
 # Flat-ground y folds back (22.8 m, then 20 m): resampling this lane raises.
@@ -333,7 +343,51 @@ def test_sweep_equals_per_threshold_reference_on_mixed_probabilities(pose, thres
     # the sweep is not trivial: thresholds change the precision/recall point
     assert len({(p, r) for _, p, r in report.pr_curve}) >= 3
     expected = _reference_report(scenes, preds, cfg)
-    assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+    assert list(expected) == [f.name for f in dataclasses.fields(report)]
+    for name, value in expected.items():
+        assert type(getattr(report, name)) is type(value), name
+        assert getattr(report, name) == value, name
+    assert [(m.frame_id, m.tp) for m in report.per_frame] \
+        == [(m.frame_id, len(m.pair_stats)) for m in expected["per_frame"]]
+
+
+def test_report_is_built_from_its_sweep_and_matchings_alone():
+    """Only pr_curve and per_frame are constructor arguments; a best sweep
+    point that per_frame does not give is rejected."""
+    assert [f.name for f in dataclasses.fields(EvalReport) if f.init] == ["pr_curve", "per_frame"]
+    assert [f.name for f in dataclasses.fields(FrameBreakdown) if f.init] \
+        == ["frame_id", "fp", "fn", "pair_stats"]
+    frames = [FrameBreakdown(frame_id="f", fp=1, fn=0, pair_stats=[])]
+    report = EvalReport(pr_curve=[(0.5, 0.0, 0.0), (0.7, 0.0, 0.0)], per_frame=frames)
+    assert (report.best_threshold, report.f_score, report.empty) == (0.5, 0.0, True)
+    with pytest.raises(InvalidInput, match="the best pr_curve point"):
+        EvalReport(pr_curve=[(0.5, 1.0, 1.0)], per_frame=frames)
+    for pr_curve in [[], [(0.5,)], [(0.5, 0.0, 0.0, 0.0)]]:
+        with pytest.raises(InvalidInput, match="pr_curve must be points"):
+            EvalReport(pr_curve=pr_curve, per_frame=frames)
+
+
+def test_report_reads_back_equal_and_rewrites_byte_identically(tmp_path, pose):
+    scenes, preds = _mixed_probability_frames(pose)
+    report = evaluate_frames(scenes, preds, MatchConfig())
+    assert not report.empty and report.f_score < 1.0
+    path, again = tmp_path / "report.json", tmp_path / "again.json"
+    write_report(report, path)
+    assert read_report(path) == report
+    write_report(read_report(path), again)
+    assert again.read_bytes() == path.read_bytes()
+    # a CLI report with a joint block reads as the report without it, and
+    # writes the same bytes with that block put back
+    gt, pred, cli = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl", tmp_path / "cli.json"
+    write_scenes(scenes, gt)
+    write_predictions(preds, pred)
+    assert main(["evaluate", str(gt), str(pred), "--out", str(cli), "--joint", str(gt)]) == 0
+    doc = json.loads(cli.read_text())
+    assert [j["source"] for j in doc["joint"]] == [str(pred), str(gt)]
+    back = read_report(cli)
+    assert back == evaluate_frames(read_scenes(gt), read_predictions(pred))
+    write_json({**back.to_dict(), "joint": doc["joint"]}, again)
+    assert again.read_bytes() == cli.read_bytes()
 
 
 def test_resampling_a_folded_lane_raises():
@@ -389,14 +443,17 @@ def test_joint_excludes_lane_missed_by_other_method(pose):
 
 
 def test_joint_keys_each_lane_by_its_own_frame(pose):
-    """The frames share lane ids; only lane_0 of f0 is matched by both."""
+    """The frames share lane ids; only lane_0 of f0 is matched by both. B
+    names its predictions apart from the GT: a lane is keyed by its GT id."""
     gt = [Scene(frame_id=f, camera=pose, lanes=lanes_at([-1.75, 1.75])) for f in ("f0", "f1")]
     lanes = gt[0].lanes
     pred_a = [Scene(frame_id="f0", camera=pose, lanes=[_biased_lane(lanes[0], dx_far=0.1)]),
               Scene(frame_id="f1", camera=pose,
                     lanes=[_biased_lane(lane, dx_far=0.5) for lane in lanes])]
     pred_b = [Scene(frame_id="f0", camera=pose,
-                    lanes=[_biased_lane(lane, dx_far=0.3) for lane in lanes]),
+                    lanes=[_biased_lane(Lane3D(id=f"b_{lane.id}", points=lane.points,
+                                               visibility=lane.visibility), dx_far=0.3)
+                           for lane in lanes]),
               Scene(frame_id="f1", camera=pose, lanes=[])]
     joint_a, joint_b = joint_offset_errors([_report_for(pred_a, gt), _report_for(pred_b, gt)])
     assert (joint_a.pair_count, joint_b.pair_count) == (1, 1)
