@@ -5,17 +5,17 @@ angle from its range. Randomness comes from a counter-based stream keyed by
 (seed, frame_id, draw_index), so augmentation is reproducible and can be
 applied to scenes in parallel without shared state.
 
-Angle units: the shipped defaults follow the reference training setup, whose
-ranges strongly suggest radians for pitch ([-0.1, 0.3]) and degrees for roll
-and yaw ([-3, 3]). The unit is explicit per axis in the config rather than
-guessed; pass a single string to force one unit everywhere.
+Angle units are fixed and follow the reference training setup, whose ranges
+strongly suggest radians for pitch ([-0.1, 0.3]) and degrees for roll and
+yaw ([-3, 3]): pitch_range is in radians, roll_range and yaw_range in
+degrees. Drawn angles are converted to radians before rotating.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,11 +24,7 @@ from .model import Config, Lane3D, Scene, check_range
 from .projection import compute_visibility
 
 _AXES = ("pitch", "roll", "yaw")
-_UNITS = ("radians", "degrees")
-
-
-def _default_units() -> dict:
-    return {"pitch": "radians", "roll": "degrees", "yaw": "degrees"}
+_DEGREE_AXES = ("roll", "yaw")   # their ranges are in degrees, pitch's in radians
 
 
 @dataclass(frozen=True)
@@ -39,25 +35,14 @@ class AugmentConfig(Config):
     p_pitch: float = 0.1
     p_roll: float = 0.05
     p_yaw: float = 0.2
-    angle_unit: object = field(default_factory=_default_units)  # str or per-axis dict
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.angle_unit, dict) and sorted(self.angle_unit) != sorted(_AXES):
-            raise InvalidInput(
-                f"an angle_unit dict must name exactly the axes {', '.join(_AXES)}")
         for axis in _AXES:
             check_range(f"{axis}_range", getattr(self, f"{axis}_range"))
             p = getattr(self, f"p_{axis}")
             if not 0.0 <= p <= 1.0:
                 raise InvalidInput(f"p_{axis} must be within [0, 1]")
-            if self.unit_for(axis) not in _UNITS:
-                raise InvalidInput(f"angle unit for {axis} must be one of {_UNITS}")
-
-    def unit_for(self, axis: str) -> str:
-        if isinstance(self.angle_unit, str):
-            return self.angle_unit
-        return self.angle_unit[axis]
 
 
 def rot_x(angle: float) -> np.ndarray:
@@ -101,7 +86,7 @@ def draw_angles(cfg: AugmentConfig, frame_id: str, draw_index: int) -> dict[str,
         lo, hi = getattr(cfg, f"{axis}_range")
         value = rng.uniform(lo, hi)
         if gate < getattr(cfg, f"p_{axis}"):
-            if cfg.unit_for(axis) == "degrees":
+            if axis in _DEGREE_AXES:
                 value = math.radians(value)
             angles[axis] = value
         else:

@@ -20,7 +20,7 @@ from .augment import AugmentConfig, augment_scene
 from .errors import HeightExceedsCamera, InvalidInput, Lane3DError
 from .model import FlatFrame, Lane2D, Scene
 from .projection import project_virtual_top_xy
-from .reconstruct import STOP_REASONS, SolveOptions, solve_frame
+from .reconstruct import LANE_STATUSES, STOP_REASONS, SolveOptions, solve_frame
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -94,11 +94,12 @@ def cmd_reconstruct(args) -> int:
     opts = model.read_json(args.config, SolveOptions.from_dict) if args.config \
         else SolveOptions()
     frames = model.read_flat_frames(args.in_path)
-    stops = Counter()
+    stops, statuses = Counter(), Counter()
 
     def solve(frame: FlatFrame) -> Scene:
         result = solve_frame(frame.lanes, frame.camera.height_m, opts)
         stops.update(result.stops)
+        statuses.update(result.statuses.values())
         meta = {f"solver_status:{lane_id}": status
                 for lane_id, status in sorted(result.statuses.items())}
         for lane_id, was_clamped in sorted(result.clamped.items()):
@@ -109,10 +110,8 @@ def cmd_reconstruct(args) -> int:
 
     scenes = [solve(frame) for frame in frames]
     model.write_scenes(scenes, args.out)
-    skipped = sum(1 for s in scenes
-                  for v in s.metadata.values() if v == "no_pairing")
-    if skipped:
-        print(f"{skipped} lanes had no pairing", file=sys.stderr)
+    print("lane statuses: " + " ".join(f"{s}={statuses[s]}" for s in LANE_STATUSES),
+          file=sys.stderr)
     print("solver stops: " + " ".join(f"{r}={stops[r]}" for r in STOP_REASONS),
           file=sys.stderr)
     print(f"reconstructed {len(scenes)} frames to {args.out}", file=sys.stderr)

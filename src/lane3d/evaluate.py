@@ -40,6 +40,7 @@ DEFAULT_PROB_THRESHOLDS = tuple(round(0.05 * k, 2) for k in range(1, 20))
 EXTRA_LONG_MIN_Y = 195.0
 EXTRA_LONG_Y_REFS = tuple(float(y) for y in range(5, 201, 5))
 HARD_Z_THRESHOLD = 1.78
+NEAR_FAR_SPLIT = 40.0   # metres: a reference at y below it is near, else far
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,6 @@ class MatchConfig(Config):
     point_tolerance: float = 1.5
     match_fraction: float = 0.75
     eval_y_refs: tuple = DEFAULT_EVAL_Y_REFS
-    near_far_split: float = 40.0
     prob_thresholds: tuple = DEFAULT_PROB_THRESHOLDS
 
     def __post_init__(self):
@@ -217,7 +217,7 @@ def _match_columns(tables: _FrameTables, cols: list[int], cfg: MatchConfig,
     frame's tables. Every cost entry is computed independently, so this
     equals matching the kept predictions from scratch."""
     cost = tables.cost[:, cols]
-    far = np.asarray(cfg.eval_y_refs, dtype=float) >= cfg.near_far_split
+    far = np.asarray(cfg.eval_y_refs, dtype=float) >= NEAR_FAR_SPLIT
     stats = []
     for gi, pi in _assignment(cost, tables.admissible[:, cols]):
         gx, gz, gvis = tables.gt_rs[gi]
@@ -358,6 +358,9 @@ class EvalReport:
                               for fb in self.per_frame for s in fb.pair_stats]
         self.x_err_near, self.x_err_far, self.z_err_near, self.z_err_far, self.empty = \
             astuple(compute_offset_errors([s for fb in self.per_frame for s in fb.pair_stats]))
+        errors = (self.x_err_near, self.x_err_far, self.z_err_near, self.z_err_far)
+        if not all(map(math.isfinite, errors)):
+            raise InvalidInput(f"offset errors must be finite, got {errors}")
 
     def to_dict(self) -> dict:
         return _json_form(self)

@@ -56,11 +56,11 @@ def check_range(name: str, pair) -> None:
 def _coerce(name: str, default, value):
     """Coerce value by the type of default. A dataclass default is a section:
     value must be a JSON object of its fields, each coerced in turn, and a
-    field it omits keeps the default's value. A tuple takes numbers. A number
-    field takes only JSON numbers (not booleans); an int field takes only
-    integral values, a float among them only below 2**53 in magnitude (a
-    larger one may be an integer literal the parser rounded, see _loads),
-    and a float field only finite ones. Anything else is taken as given."""
+    field it omits keeps the default's value. A tuple takes numbers. Any
+    other field is a number and takes only JSON numbers (not booleans); an
+    int field takes only integral values, a float among them only below
+    2**53 in magnitude (a larger one may be an integer literal the parser
+    rounded, see _loads), and a float field only finite ones."""
     if is_dataclass(default):
         if not isinstance(value, dict):
             raise InvalidInput(f"{name}: config must be a JSON object")
@@ -74,8 +74,6 @@ def _coerce(name: str, default, value):
         if not isinstance(value, list):
             raise InvalidInput(f"{name} must be a JSON list, got {value!r}")
         return tuple(_coerce(name, 0.0, v) for v in value)
-    if not isinstance(default, (float, int)):
-        return value
     if isinstance(value, bool) or not isinstance(value, (float, int)):
         raise InvalidInput(f"{name} must be a number, got {value!r}")
     if isinstance(default, int):

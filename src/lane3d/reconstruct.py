@@ -18,12 +18,12 @@ so penalizing them adds no information (see pair_objective). Descent starts
 at the closed form and uses a backtracking line search, so the objective
 never increases across accepted steps.
 
-Descent stops at the first of: no step of 20 halvings lowers J
-("no_descent"); an accepted step lowers J by less than tol ("tol"); an
-accepted step moves no height by 10 micrometres or more ("step"); or
-max_iters accepted steps ("max_iters"). The step rule ends the slow crawl
-the L1 prior causes on noisy pairs, where hundreds of tiny steps each still
-lower J but move the heights by millimetres in total.
+Descent starts with step 0.05 and stops at the first of: no step of 20
+halvings lowers J ("no_descent"); an accepted step lowers J by less than
+1e-10 ("tol"); an accepted step moves no height by 10 micrometres or more
+("step"); or 400 accepted steps ("max_iters"). The step rule ends the slow
+crawl the L1 prior causes on noisy pairs, where hundreds of tiny steps each
+still lower J but move the heights by millimetres in total.
 """
 
 from __future__ import annotations
@@ -42,9 +42,13 @@ _MIN_FLAT_WIDTH = 1e-9
 _Z_CLAMP_MARGIN = 1e-6
 _NEAR_RANGE_PAIRS = 3
 _Z_SERIES_WEIGHT = 5.0   # height-profile penalty scale, in camera heights
+_STEP = 0.05             # initial and largest descent step
+_TOL = 1e-10             # an accepted step lowering J by less than this ends descent
+_MAX_ITERS = 400         # accepted steps before the descent stops
 _MAX_HALVINGS = 20       # line-search step halvings before the descent stops
 _Z_STEP_TOL = 1e-5       # metres: an accepted step moving no height this far ends descent
 STOP_REASONS = ("no_descent", "tol", "step", "max_iters")
+LANE_STATUSES = ("ok", "no_pairing", "folded")
 
 
 def closed_form_heights(d_flat: np.ndarray, true_width: float, h_cam: float) -> np.ndarray:
@@ -59,15 +63,10 @@ def closed_form_heights(d_flat: np.ndarray, true_width: float, h_cam: float) -> 
 
 @dataclass(frozen=True)
 class SolveOptions(Config):
-    max_iters: int = 400
-    step: float = 0.05
-    tol: float = 1e-10
     lambda_geo: float = 1e-2
     pairing: PairingConfig = DEFAULT_PAIRING
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.step <= 0 or self.tol <= 0:
-            raise InvalidInput("solver options must be positive")
         if self.lambda_geo < 0:
             raise InvalidInput("lambda_geo must be nonnegative")
 
@@ -183,11 +182,11 @@ def solve_boundary_pair(left: Lane2D, right: Lane2D, h_cam: float,
     ctx, z = prepare_pair(left, right, h_cam, opts)
 
     value, grad = pair_objective(z, ctx)
-    step = opts.step
+    step = _STEP
     trace = [(0, value, step)]
     iters = 0
     stop = "max_iters"
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         trial = z - step * grad
         trial_value, trial_grad = pair_objective(trial, ctx)
         backtracked = trial_value > value
@@ -214,11 +213,11 @@ def solve_boundary_pair(left: Lane2D, right: Lane2D, h_cam: float,
         if moved < _Z_STEP_TOL:
             stop = "step"
             break
-        if improvement < opts.tol:
+        if improvement < _TOL:
             stop = "tol"
             break
         if not backtracked:
-            step = min(step * 1.25, opts.step)
+            step = min(step * 1.25, _STEP)
 
     limit = h_cam - _Z_CLAMP_MARGIN
     zl, zr = z[:len(left)], z[len(left):]
@@ -232,7 +231,7 @@ def solve_boundary_pair(left: Lane2D, right: Lane2D, h_cam: float,
 @dataclass
 class FrameSolve:
     lanes: list[Lane3D]                  # valid reconstructed lanes, input order
-    statuses: dict[str, str]             # lane id -> "ok" | "no_pairing" | "folded"
+    statuses: dict[str, str]             # lane id -> one of LANE_STATUSES
     clamped: dict[str, bool]             # lane id -> any z clamped below h_cam
     z_by_lane: dict[str, np.ndarray]     # solved height profile per solved lane
     traces: list                         # one trace per solved boundary pair

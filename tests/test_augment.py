@@ -100,13 +100,13 @@ def test_composition_order_is_zyx():
 
 
 def test_angle_units_converted():
-    cfg = AugmentConfig(yaw_range=(90.0, 90.0), p_yaw=1.0, p_pitch=0.0, p_roll=0.0,
-                        angle_unit={"pitch": "radians", "roll": "degrees",
-                                    "yaw": "degrees"})
+    # the units are fixed: roll and yaw ranges in degrees, pitch's in radians
+    cfg = AugmentConfig(yaw_range=(90.0, 90.0), roll_range=(90.0, 90.0),
+                        pitch_range=(0.5, 0.5), p_yaw=1.0, p_pitch=1.0, p_roll=1.0)
     angles = draw_angles(cfg, "f", 0)
     assert angles["yaw"] == pytest.approx(math.pi / 2, abs=1e-12)
-    rad_cfg = AugmentConfig(yaw_range=(0.5, 0.5), p_yaw=1.0, angle_unit="radians")
-    assert draw_angles(rad_cfg, "f", 0)["yaw"] == 0.5
+    assert angles["roll"] == pytest.approx(math.pi / 2, abs=1e-12)
+    assert angles["pitch"] == 0.5
 
 
 def test_config_validation_and_json(tmp_path):
@@ -114,24 +114,17 @@ def test_config_validation_and_json(tmp_path):
         AugmentConfig(pitch_range=(0.3, -0.1))
     with pytest.raises(InvalidInput):
         AugmentConfig(p_yaw=1.5)
-    # a partial per-axis dict would silently read the missing axes as radians
-    with pytest.raises(InvalidInput, match="angle_unit"):
-        AugmentConfig(angle_unit={"yaw": "degrees"})
-    with pytest.raises(InvalidInput, match="angle_unit"):
-        AugmentConfig(angle_unit={"pitch": "radians", "roll": "degrees",
-                                  "yaw": "degrees", "tilt": "degrees"})
     with pytest.raises(InvalidInput, match="p_yew"):
         AugmentConfig.from_dict({"p_yew": 1.0})
+    # the units are fixed; a config naming them fails like any unknown key
+    with pytest.raises(InvalidInput, match="AugmentConfig.angle_unit"):
+        AugmentConfig.from_dict({"angle_unit": "radians"})
     path = tmp_path / "aug.json"
     path.write_text(json.dumps({
         "pitch_range": [-0.1, 0.3], "roll_range": [-3, 3], "yaw_range": [-3, 3],
-        "p_pitch": 0.1, "p_roll": 0.05, "p_yaw": 0.2,
-        "angle_unit": {"pitch": "radians", "roll": "degrees", "yaw": "degrees"},
-        "seed": 42}))
+        "p_pitch": 0.1, "p_roll": 0.05, "p_yaw": 0.2, "seed": 42}))
     cfg = AugmentConfig.from_dict(json.loads(path.read_text()))
-    assert cfg.seed == 42
-    assert cfg.unit_for("pitch") == "radians"
-    assert cfg.unit_for("yaw") == "degrees"
+    assert cfg == AugmentConfig(seed=42)
 
 
 def test_rotation_can_push_points_above_camera(pose):

@@ -18,10 +18,10 @@ import lane3d
 from lane3d.augment import AugmentConfig
 from lane3d.cli import _looks_like_report, main
 from lane3d.evaluate import MatchConfig
-from lane3d.model import (CameraPose, Intrinsics, Lane2D, Lane3D, Scene,
+from lane3d.model import (CameraPose, FlatFrame, Intrinsics, Lane2D, Lane3D, Scene,
                           read_flat_frames, read_scenes, write_flat_frames,
                           write_scenes)
-from lane3d.reconstruct import STOP_REASONS, SolveOptions, solve_frame
+from lane3d.reconstruct import LANE_STATUSES, STOP_REASONS, SolveOptions, solve_frame
 from lane3d.synth import GeneratorConfig
 
 CONFIGS = "configs"
@@ -72,8 +72,7 @@ def test_augment_fixed_pitch_changes_heights(tmp_path):
     run(["generate", "--count", 3, "--seed", 3, "--out", src])
     cfg = tmp_path / "pitch.json"
     cfg.write_text(json.dumps({
-        "pitch_range": [0.05, 0.05], "p_pitch": 1.0, "p_roll": 0.0, "p_yaw": 0.0,
-        "angle_unit": "radians"}))
+        "pitch_range": [0.05, 0.05], "p_pitch": 1.0, "p_roll": 0.0, "p_yaw": 0.0}))
     assert run(["augment", "--in", src, "--config", cfg, "--out", dst]) == 0
     from lane3d.augment import rot_x
     r = rot_x(0.05)
@@ -205,6 +204,31 @@ def test_reconstruct_prints_stop_histogram(tmp_path, capsys):
     assert sum(counts.values()) > 0 and counts["no_descent"] > 0 and counts["step"] > 0
 
 
+def test_reconstruct_prints_lane_status_counts(tmp_path, capsys):
+    scenes, flat, rec = (tmp_path / f"{name}.jsonl" for name in ("scenes", "flat", "rec"))
+    run(["generate", "--count", 3, "--seed", 42, "--out", scenes])
+    run(["project", "--in", scenes, "--out", flat])
+    frames = read_flat_frames(flat)
+    # a right boundary widening 0.5 m a point lifts the left one folded
+    ys = 1.0 + 0.5 * np.arange(20)
+    widths = np.concatenate([np.full(3, 3.5), 3.5 + 0.5 * np.arange(1, 18)])
+    folding = [Lane2D(id=lane_id, points=np.column_stack([x, ys]), visibility=np.ones(20, int))
+               for lane_id, x in (("l", np.zeros(20)), ("r", widths))]
+    frames += [FlatFrame(frame_id="folding", camera=frames[0].camera, lanes=folding),
+               FlatFrame(frame_id="solo", camera=frames[0].camera, lanes=frames[0].lanes[:1])]
+    write_flat_frames(frames, flat)
+    capsys.readouterr()
+    assert run(["reconstruct", "--in", flat, "--out", rec]) == 0
+    (line,) = [ln for ln in capsys.readouterr().err.splitlines()
+               if ln.startswith("lane statuses: ")]
+    counts = {status: int(n) for status, n in (item.split("=") for item in line.split()[2:])}
+    assert list(counts) == ["ok", "no_pairing", "folded"] == list(LANE_STATUSES)
+    written = Counter(value for scene in read_scenes(rec) for key, value in scene.metadata.items()
+                      if key.startswith("solver_status:"))
+    assert counts == {status: written[status] for status in LANE_STATUSES}
+    assert counts == {"ok": 7, "no_pairing": 1, "folded": 1}
+
+
 @pytest.mark.parametrize("frame_id", ["../escaped", "nested/escaped", "nul\0escaped"])
 def test_frame_id_that_is_not_a_plain_name_exit_2(tmp_path, frame_id):
     work = tmp_path / "work"
@@ -299,13 +323,19 @@ def test_misspelled_config_key_exit_2(tmp_path, capsys):
     scenes = tmp_path / "scenes.jsonl"
     run(["generate", "--count", 1, "--seed", 15, "--out", scenes])
     aug = tmp_path / "aug.json"
-    aug.write_text(json.dumps({"p_yew": 1.0}))
-    assert run(["augment", "--in", scenes, "--config", aug,
-                "--out", tmp_path / "aug.jsonl"]) == 2
-    assert "p_yew" in capsys.readouterr().err
+    # keys older configs may hold (the fixed angle units, solver step, tol
+    # and max_iters, and near/far split) fail like any unknown key
+    for config, message in [({"p_yew": 1.0}, "AugmentConfig.p_yew"),
+                            ({"angle_unit": {"pitch": "radians", "roll": "degrees",
+                                             "yaw": "degrees"}}, "AugmentConfig.angle_unit")]:
+        aug.write_text(json.dumps(config))
+        assert run(["augment", "--in", scenes, "--config", aug,
+                    "--out", tmp_path / "aug.jsonl"]) == 2
+        assert message in capsys.readouterr().err
     ev = tmp_path / "ev.json"
     for config, message in [({"point_tolerence": 0.5}, "point_tolerence"),
-                            ({"eval_y_refs": 5}, "eval_y_refs must be a JSON list")]:
+                            ({"eval_y_refs": 5}, "eval_y_refs must be a JSON list"),
+                            ({"near_far_split": 40.0}, "MatchConfig.near_far_split")]:
         ev.write_text(json.dumps(config))
         assert run(["evaluate", scenes, scenes, "--config", ev,
                     "--out", tmp_path / "report.json"]) == 2
@@ -314,8 +344,10 @@ def test_misspelled_config_key_exit_2(tmp_path, capsys):
     assert run(["project", "--in", scenes, "--out", flat]) == 0
     rec = tmp_path / "rec.json"
     for config, message in [([1, 2], "must be a JSON object"),
-                            # a key older configs may hold fails like any unknown key
                             ({"trace_dir": "traces"}, "SolveOptions.trace_dir"),
+                            ({"max_iters": 400}, "SolveOptions.max_iters"),
+                            ({"step": 0.05}, "SolveOptions.step"),
+                            ({"tol": 1e-10}, "SolveOptions.tol"),
                             ({"max_iter": 5}, "SolveOptions.max_iter")]:
         rec.write_text(json.dumps(config))
         capsys.readouterr()
@@ -487,6 +519,15 @@ def test_plot_report_chart(tmp_path, capsys):
         capsys.readouterr()
         assert run(["plot", "--in", bad, "--out", out_dir]) == 2
         assert "bad.json" in capsys.readouterr().err
+    # pair sums each finite can add up past the float range: x_err_far
+    # would be inf, which the report writes as null
+    assert len(frame["pairs"]) == 2
+    overflow = {**frame, "pairs": [{**p, "x_far_sum": 1e308, "far_count": 1}
+                                   for p in frame["pairs"]]}
+    bad.write_text(json.dumps({**doc, "per_frame": [overflow, *doc["per_frame"][1:]]}))
+    capsys.readouterr()
+    assert run(["plot", "--in", bad, "--out", out_dir]) == 2
+    assert "bad.json: offset errors must be finite" in capsys.readouterr().err
     # a report read must be one write_report can write back: every id a
     # UTF-8 string
     for broken in [{**doc, "per_frame": [{**frame, "frame_id": 5}]},

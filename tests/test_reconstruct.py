@@ -42,11 +42,9 @@ def project_scene(scene, noise_rng=None, sigma=0.05):
 
 
 def test_options_from_dict_coerce_by_default_type_and_reject_unknown_keys():
-    opts = SolveOptions.from_dict({"max_iters": 7.0, "step": 1,
-                                   "pairing": {"window": 3.0}})
-    assert type(opts.max_iters) is int and opts.max_iters == 7
-    assert type(opts.step) is float and opts.step == 1.0
-    assert opts.pairing == PairingConfig(window=3)
+    opts = SolveOptions.from_dict({"lambda_geo": 1, "pairing": {"window": 3.0}})
+    assert type(opts.lambda_geo) is float and opts.lambda_geo == 1.0
+    assert type(opts.pairing.window) is int and opts.pairing == PairingConfig(window=3)
     with pytest.raises(InvalidInput, match="windw"):
         SolveOptions.from_dict({"pairing": {"windw": 3}})
     with pytest.raises(InvalidInput, match="max_iter, "):
@@ -55,15 +53,14 @@ def test_options_from_dict_coerce_by_default_type_and_reject_unknown_keys():
         SolveOptions.from_dict({"pairing": []})
     # ints take only integral numbers, floats only finite ones; the JSON
     # parser reads NaN and Infinity as floats
-    for bad, match in [({"max_iters": 2.7}, "max_iters must be an integer"),
-                       ({"max_iters": True}, "max_iters must be a number"),
-                       ({"max_iters": "7"}, "max_iters must be a number"),
-                       ({"pairing": {"window": 2.5}}, "window must be an integer"),
-                       ({"step": True}, "step must be a number"),
-                       (json.loads('{"step": Infinity}'), "step must be finite"),
-                       (json.loads('{"tol": -Infinity}'), "tol must be finite"),
+    for bad, match in [({"pairing": {"window": 2.7}}, "window must be an integer"),
+                       ({"pairing": {"window": True}}, "window must be a number"),
+                       ({"pairing": {"window": "7"}}, "window must be a number"),
+                       ({"lambda_geo": True}, "lambda_geo must be a number"),
+                       (json.loads('{"lambda_geo": Infinity}'), "lambda_geo must be finite"),
+                       (json.loads('{"lambda_geo": -Infinity}'), "lambda_geo must be finite"),
                        (json.loads('{"lambda_geo": NaN}'), "lambda_geo must be finite"),
-                       ({"step": 10 ** 400}, "step must be finite")]:
+                       ({"lambda_geo": 10 ** 400}, "lambda_geo must be finite")]:
         with pytest.raises(InvalidInput, match=match):
             SolveOptions.from_dict(bad)
 
@@ -184,7 +181,7 @@ def test_one_rejected_pair_marks_only_its_lanes_no_pairing(case):
     assert len(res.stops) == 1
 
 
-def test_heights_clamped_below_camera():
+def test_heights_clamped_below_camera(monkeypatch):
     # widths exploding far beyond the near-range estimate imply z -> h_cam;
     # the solver clamps at h_cam - 1e-6 and flags the lane
     ys = np.arange(1.0, 12.0, 1.0)
@@ -192,8 +189,8 @@ def test_heights_clamped_below_camera():
     right = Lane2D(id="r", points=np.column_stack([widths, ys]),
                    visibility=np.ones(len(ys), dtype=int))
     left = flat_lane("l", 0.0, ys)
-    opts = SolveOptions(pairing=PairingConfig(window=2, width_jump_threshold=1e15),
-                        max_iters=5)
+    monkeypatch.setattr(lane3d.reconstruct, "_MAX_ITERS", 5)
+    opts = SolveOptions(pairing=PairingConfig(window=2, width_jump_threshold=1e15))
     res = solve_boundary_pair(left, right, H_CAM, opts)
     assert res.clamped_right or res.clamped_left
     assert np.max(res.z_left) <= H_CAM - 1e-6 + 1e-15
@@ -239,13 +236,15 @@ def test_closed_form_heights_vectorized():
 def sequential_halving_solve(left, right, h_cam, opts=SolveOptions(), step_rule=True):
     """Reference descent: one objective call per trial step, halving the
     step until J does not increase, at most 20 times; with step_rule, it
-    stops after an accepted step that moves no height by 1e-5 m."""
+    stops after an accepted step that moves no height by 1e-5 m. The step,
+    tol and max_iters are the solver's module constants, read when called."""
+    mod = lane3d.reconstruct
     ctx, z = prepare_pair(left, right, h_cam, opts)
     value, grad = pair_objective(z, ctx)
-    step = opts.step
+    step = mod._STEP
     trace = [(0, value, step)]
     iters = 0
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, mod._MAX_ITERS + 1):
         trial = z - step * grad
         trial_value, trial_grad = pair_objective(trial, ctx)
         halvings = 0
@@ -263,10 +262,10 @@ def sequential_halving_solve(left, right, h_cam, opts=SolveOptions(), step_rule=
         trace.append((it, value, step))
         if step_rule and moved < 1e-5:
             break
-        if improvement < opts.tol:
+        if improvement < mod._TOL:
             break
         if halvings == 0:
-            step = min(step * 1.25, opts.step)
+            step = min(step * 1.25, mod._STEP)
     return iters, trace, value, np.minimum(z, h_cam - 1e-6)
 
 
@@ -326,25 +325,29 @@ def test_noise_free_pair_makes_three_objective_calls(monkeypatch):
     assert calls == [(n,), (n,), (20, n)]
 
 
-# (spec, noise seed, options, expected stop): each reason from one pair
-STOP_CASES = [(DENSE_HILL_SPEC, None, SolveOptions(), "no_descent"),
-              (HILL_SPEC, 65, SolveOptions(tol=1e3), "tol"),
-              (HILL_SPEC, 65, SolveOptions(), "step"),
+# (spec, noise seed, solver constants overridden, expected stop): each reason
+# from one pair
+STOP_CASES = [(DENSE_HILL_SPEC, None, {}, "no_descent"),
+              (HILL_SPEC, 65, {"_TOL": 1e3}, "tol"),
+              (HILL_SPEC, 65, {}, "step"),
               # both rules end this descent's 7th step; the step rule reports
-              (HILL_SPEC, None, SolveOptions(tol=1e-5), "step"),
-              (HILL_SPEC, 65, SolveOptions(max_iters=3), "max_iters")]
+              (HILL_SPEC, None, {"_TOL": 1e-5}, "step"),
+              (HILL_SPEC, 65, {"_MAX_ITERS": 3}, "max_iters")]
 
 
 @pytest.mark.parametrize("spec, noise_seed, opts, stop", STOP_CASES)
-def test_stop_reason_of_constructed_pairs(spec, noise_seed, opts, stop):
+def test_stop_reason_of_constructed_pairs(monkeypatch, spec, noise_seed, opts, stop):
+    for name, value in opts.items():
+        monkeypatch.setattr(lane3d.reconstruct, name, value)
+    max_iters = lane3d.reconstruct._MAX_ITERS
     rng = None if noise_seed is None else np.random.default_rng(noise_seed)
     left, right = project_scene(generate_scene(spec, seed=7), noise_rng=rng)
-    res = solve_boundary_pair(left, right, H_CAM, opts)
+    res = solve_boundary_pair(left, right, H_CAM)
     assert res.stop == stop
     if stop == "step":
-        assert 1 < res.iters < opts.max_iters
+        assert 1 < res.iters < max_iters
     else:
-        assert res.iters == {"no_descent": 0, "tol": 1, "max_iters": opts.max_iters}[stop]
+        assert res.iters == {"no_descent": 0, "tol": 1, "max_iters": max_iters}[stop]
 
 
 def test_step_rule_stops_noisy_pair_near_the_descent_without_it():
@@ -352,7 +355,7 @@ def test_step_rule_stops_noisy_pair_near_the_descent_without_it():
     left, right = project_scene(generate_scene(HILL_SPEC, seed=7),
                                 noise_rng=np.random.default_rng(65))
     iters, _, _, z_full = sequential_halving_solve(left, right, H_CAM, step_rule=False)
-    assert iters == SolveOptions().max_iters
+    assert iters == lane3d.reconstruct._MAX_ITERS
     res = solve_boundary_pair(left, right, H_CAM)
     assert res.stop == "step" and res.iters < iters // 2
     z = np.concatenate([res.z_left, res.z_right])
