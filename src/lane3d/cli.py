@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -148,8 +147,11 @@ def _looks_like_report(path) -> bool:
     it, so JSONL is read no further than that line: it is a report only
     with per_frame and nothing after it. The whole file is parsed only when
     the first line does not parse (an indented report, not JSON) or when a
-    report line is followed by more. Bytes that are not UTF-8 are decoded
-    as lone surrogates, so the reader, not this check, rejects them."""
+    report line is followed by more. Text orjson rejects (its errors are
+    ValueErrors) with a first line that does not parse is read as a report,
+    so the error names the line and column where the text breaks, not the
+    opening brace of an indented report; bytes that are not UTF-8 are
+    decoded as lone surrogates, which orjson rejects."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         head = fh.read(1).strip()
         if head != "{":
@@ -157,8 +159,8 @@ def _looks_like_report(path) -> bool:
         fh.seek(0)
         try:
             first = model._loads(fh.readline())
-        except json.JSONDecodeError:
-            pass
+        except ValueError:
+            first = None
         else:
             if "per_frame" not in first:
                 return False
@@ -167,8 +169,8 @@ def _looks_like_report(path) -> bool:
         fh.seek(0)
         try:
             doc = model._loads(fh.read())
-        except json.JSONDecodeError:
-            return False
+        except ValueError:
+            return first is None
     return "per_frame" in doc
 
 

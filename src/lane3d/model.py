@@ -15,7 +15,6 @@ invariants up front: operations reject bad input instead of normalizing it.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -60,7 +59,7 @@ def _coerce(name: str, default, value):
     other field is a number and takes only JSON numbers (not booleans); an
     int field takes only integral values, a float among them only below
     2**53 in magnitude (a larger one may be an integer literal the parser
-    rounded, see _loads), and a float field only finite ones."""
+    rounded, see _parse_json), and a float field only finite ones."""
     if is_dataclass(default):
         if not isinstance(value, dict):
             raise InvalidInput(f"{name}: config must be a JSON object")
@@ -402,45 +401,36 @@ scene_from_dict = Scene.from_dict
 prediction_from_dict = Prediction.from_dict
 flat_frame_from_dict = FlatFrame.from_dict
 
-def _loads(text: str):
-    """The JSON value in text, the one parser of every reader. orjson parses
-    a JSONL line 4-5x faster than json.loads and reads every number as the
-    double float() gives, so output bytes do not depend on the parser. Text
-    orjson rejects is parsed again by json.loads: NaN, Infinity, 1e400 and
-    lone-surrogate escapes then reach the record checks, which name what is
-    wrong, and text that is not JSON raises json's JSONDecodeError. orjson
-    reads an integer literal beyond 64 bits as the nearest double (see
-    _coerce)."""
-    try:
-        return orjson.loads(text)
-    except orjson.JSONDecodeError:
-        return json.loads(text)
+_loads = orjson.loads   # the one JSON parser; see _parse_json
 
 
 def _parse_json(where: str, text: str, parse):
     """parse(the JSON value in text), with one error rule for every reader:
-    text that is not UTF-8 or not JSON, or a KeyError, TypeError or
-    ValueError from parse, becomes a ParseError, and every Lane3DError
-    starts with where (the path, plus the line in JSONL). The readers
-    decode with surrogateescape, so a byte that is not UTF-8 reaches here
-    as a lone surrogate; it is checked before parsing because json.loads,
-    the fallback of _loads, would accept it."""
-    if not _is_utf8(text):
-        raise ParseError(f"{where}: not valid UTF-8")
+    text orjson rejects, or a KeyError, TypeError, ValueError or
+    RecursionError from parse, becomes a ParseError, and every Lane3DError
+    starts with where (the path, plus the line in JSONL). orjson is the one
+    parser. It reads every number as the double float() gives, so output
+    bytes do not depend on it, and an integer literal beyond 64 bits as the
+    nearest double. It rejects NaN, Infinity, numbers beyond the double
+    range, lone surrogates and text that is not JSON, with a reason that
+    names the column. A RecursionError is a deeply nested value that a
+    message tried to show."""
     try:
         raw = _loads(text)
-    except json.JSONDecodeError as e:
+    except orjson.JSONDecodeError as e:
         raise ParseError(f"{where}: invalid JSON: {e}") from e
     try:
         return parse(raw)
     except Lane3DError as e:
         raise type(e)(f"{where}: {e}") from e
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, RecursionError) as e:
         raise ParseError(f"{where}: malformed record: {e!r}") from e
 
 
 def read_json(path, parse):
-    """parse(the JSON document in path); see _parse_json for its errors."""
+    """parse(the JSON document in path); see _parse_json for its errors. A
+    byte that is not UTF-8 is decoded as a lone surrogate, which orjson
+    rejects, so it exits as invalid JSON naming the path."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return _parse_json(str(path), fh.read(), parse)
 

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import lane3d
 from lane3d.augment import AugmentConfig
 from lane3d.cli import _looks_like_report, main
-from lane3d.evaluate import MatchConfig
+from lane3d.errors import InvalidInput
+from lane3d.evaluate import EvalReport, MatchConfig
 from lane3d.model import (CameraPose, FlatFrame, Intrinsics, Lane2D, Lane3D, Scene,
                           read_flat_frames, read_scenes, write_flat_frames,
                           write_scenes)
@@ -302,7 +303,10 @@ def test_misspelled_config_key_exit_2(tmp_path, capsys):
                         ({"x_offset_range": [1.0]}, "x_offset_range must be [lo, hi]"),
                         ({"x_offset_range": 5}, "x_offset_range must be a JSON list"),
                         ({"flat_fraction": 1.5}, "flat_fraction must be within [0, 1]"),
-                        ('{"curvature_range": [0, 1e400]}', "curvature_range must be finite"),
+                        # a number beyond the double range is not JSON orjson reads
+                        ('{"curvature_range": [0, 1e400]}',
+                         "gen.json: invalid JSON: number is infinity when parsed as double: "
+                         "line 1 column 25"),
                         # values the road spec rejects fail at parse time, before any draw
                         ({"lane_width": -1}, "lane_width must be positive"),
                         ({"y_end": 4.0, "flat_fraction": 0.0}, "y grid needs at least two points"),
@@ -509,6 +513,12 @@ def test_plot_report_chart(tmp_path, capsys):
     # a malformed report is a data error naming the file, not a traceback
     doc = json.loads(report.read_text())
     bad = tmp_path / "bad.json"
+    # an indented report orjson rejects: the error names the line and column
+    assert report.read_text().splitlines()[1].startswith('  "f_score": ')
+    bad.write_text(report.read_text().replace('"f_score": ', '"f_score": NaN, "x": ', 1))
+    assert run(["plot", "--in", bad, "--out", out_dir]) == 2
+    assert "bad.json: invalid JSON: unexpected character: line 2 column 14 (char 15)\n" \
+        in capsys.readouterr().err
     frame = doc["per_frame"][0]
     pair = frame["pairs"][0]
     for broken in [{"per_frame": []}, {**doc, "f_score": "0.9"}, {**doc, "pr_curve": [5]},
@@ -531,16 +541,29 @@ def test_plot_report_chart(tmp_path, capsys):
     # a report read must be one write_report can write back: every id a
     # UTF-8 string
     for broken in [{**doc, "per_frame": [{**frame, "frame_id": 5}]},
-                   {**doc, "per_frame": [{**frame, "frame_id": "\udcff"}]},
                    {**doc, "per_frame": [{**frame, "pairs": [{**pair, "gt_id": 1}]}]},
                    {**doc, "per_frame": [{**frame, "pairs": [{**pair, "pred_id": None}]}]}]:
         bad.write_text(json.dumps(broken))
         capsys.readouterr()
         assert run(["plot", "--in", bad, "--out", out_dir]) == 2
         assert "bad.json: report ids must be UTF-8 strings" in capsys.readouterr().err
+    # a lone-surrogate escape is not JSON orjson reads
+    for broken, reason, check in [
+            ({**doc, "per_frame": [{**frame, "frame_id": "\udcff"}]}, "invalid high surrogate",
+             "report ids must be UTF-8 strings"),
+            ({**doc, "matched_pairs": [["f", "\ud800", "p"]]}, "no matched low surrogate",
+             "report key 'matched_pairs' does not match")]:
+        bad.write_text(json.dumps(broken))
+        capsys.readouterr()
+        assert run(["plot", "--in", bad, "--out", out_dir]) == 2
+        assert f"bad.json: invalid JSON: {reason} in string: line 1 column " \
+            in capsys.readouterr().err
+        # the report's own checks still reject them, read from Python values
+        with pytest.raises(InvalidInput, match=check):
+            EvalReport.from_dict(broken)
     # and the very report write_report writes: matched_pairs and empty are
     # derived from per_frame, so any other value of theirs does not match
-    for key, value in [("matched_pairs", [["f", "\ud800", "p"]]), ("empty", 0),
+    for key, value in [("matched_pairs", [["f", "g", "p"]]), ("empty", 0),
                        ("empty", "false")]:
         bad.write_text(json.dumps({**doc, key: value}))
         capsys.readouterr()
@@ -595,7 +618,8 @@ def test_plot_tells_report_from_jsonl_by_first_line(tmp_path):
                            (one_line + "\n" + one_line + "\n", False),
                            (scenes.read_text(), False),
                            ("", False),
-                           ("{not json\n", False),
+                           # not JSON from its first line: the report reader names where
+                           ("{not json\n", True),
                            ("not json\n", False)]:
         path.write_text(text)
         assert _looks_like_report(path) is expected, text[:40]
@@ -646,38 +670,61 @@ def test_input_that_is_not_utf8_exit_2_naming_it(tmp_path, capsys, command, wher
     run(["generate", "--count", 1, "--out", paths["SCENES"]])
     capsys.readouterr()
     assert run([paths.get(arg, arg) for arg in command]) == 2
-    assert f"{where} not valid UTF-8" in capsys.readouterr().err
+    assert f"{where} invalid JSON: str is not valid UTF-8" in capsys.readouterr().err
     assert not paths["OUT"].exists()
 
 
-# line 2 of BAD holds a lane point the parser reads but the record check
-# rejects, or is cut short
-@pytest.mark.parametrize("point, message", [
-    ("NaN", "bad.jsonl:2: lane 'left': points must be finite"),
-    ("Infinity", "bad.jsonl:2: lane 'left': points must be finite"),
-    ("-Infinity", "bad.jsonl:2: lane 'left': points must be finite"),
-    ("1e400", "bad.jsonl:2: lane 'left': points must be finite"),
-    (None, "bad.jsonl:2: invalid JSON: "),
+# text orjson rejects on which json.loads crashes: RecursionError on the
+# nesting, ValueError (Python's int digit limit) on the integer
+@pytest.mark.parametrize("text", [
+    '{"frame_id":NaN,"x":' + "[" * 1000 + "]" * 1000 + "}\n",
+    '{"lane_width":' + "1" * 5000 + "}\n",
+], ids=["nan-1000-deep", "5000-digit-int"])
+@pytest.mark.parametrize("command, line", [
+    (["project", "--in", "BAD", "--out", "OUT"], ":1"),
+    (["generate", "--config", "BAD", "--out", "OUT"], ""),
+    (["plot", "--in", "BAD", "--out", "OUT"], ""),
+], ids=["project", "generate", "plot"])
+def test_text_orjson_rejects_exit_2_as_invalid_json(tmp_path, capsys, text, command, line):
+    paths = {"BAD": tmp_path / "bad.json", "OUT": tmp_path / "out"}
+    paths["BAD"].write_text(text)
+    assert run([paths.get(arg, arg) for arg in command]) == 2
+    assert capsys.readouterr().err.startswith(f"lane3d: {paths['BAD']}{line}: invalid JSON: ")
+    assert not paths["OUT"].exists()
+
+
+# line 2 of BAD holds a lane point that is not a JSON number (orjson reads
+# no NaN, no Infinity and nothing beyond the double range), or is cut short;
+# orjson's reason names the column where the point starts
+@pytest.mark.parametrize("point, reason", [
+    ("NaN", "unexpected character"),
+    ("Infinity", "unexpected character"),
+    ("-Infinity", "no digit after minus sign"),
+    ("1e400", "number is infinity when parsed as double"),
+    (None, ""),
 ], ids=["nan", "infinity", "minus-infinity", "1e400", "truncated"])
 def test_nonfinite_point_or_truncated_line_exit_2_naming_it(tmp_path, capsys, simple_scene,
-                                                            point, message):
+                                                            point, reason):
     bad = tmp_path / "bad.jsonl"
     write_scenes([simple_scene, dataclasses.replace(simple_scene, frame_id="frame_1")], bad)
     first, second = bad.read_text().splitlines()
+    column = second.index("-1.75") + 1
     second = second[:len(second) // 2] if point is None else second.replace("-1.75", point, 1)
     bad.write_text(f"{first}\n{second}\n")
     assert run(["project", "--in", bad, "--out", tmp_path / "flat.jsonl"]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"bad.jsonl:2: invalid JSON: {reason}" in err
+    assert point is None or f": line 1 column {column} (char {column - 1})\n" in err
 
 
 # line 2 of BAD holds a value the JSONL writer could not write back: a lone
-# surrogate or a number for an id (the 1e400 makes json parse the line, and
-# json keeps both the surrogate and the width's 71-bit int)
+# surrogate (not JSON orjson reads), a width past 64 bits (which orjson reads
+# as the nearest double) or a number for an id
 @pytest.mark.parametrize("edits, message", [
-    ({'"id":"left"': '"id":"\\ud800"', '"frame_id"': '"x":1e400,"frame_id"'},
-     "bad.jsonl:2: frame 'frame_1': ids and metadata must be UTF-8 strings"),
-    ({'"width_px":1920': f'"width_px":{2 ** 70}', '"frame_id"': '"x":1e400,"frame_id"'},
-     "bad.jsonl:2: image size must be positive and below 2**64"),
+    ({'"id":"left"': '"id":"\\ud800"'},
+     "bad.jsonl:2: invalid JSON: no matched low surrogate in string: line 1 column "),
+    ({'"width_px":1920': f'"width_px":{2 ** 70}'},
+     "bad.jsonl:2: camera.intrinsics.width_px must be an integer, got 1.1805916207174113e+21"),
     ({'"frame_id":"frame_1"': '"frame_id":5'},
      "bad.jsonl:2: frame 5: ids and metadata must be UTF-8 strings"),
 ], ids=["lone-surrogate-id", "width-2**70", "int-frame-id"])

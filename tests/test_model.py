@@ -1,18 +1,26 @@
 import json
 import math
 import struct
+from dataclasses import replace
+from functools import reduce
+from operator import getitem
+from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lane3d.augment import AugmentConfig
-from lane3d.errors import InvalidInput, InvariantViolation, ParseError
-from lane3d.model import (CameraPose, Intrinsics, Lane2D, Lane3D, PairMap,
+from lane3d.errors import InvalidInput, InvariantViolation, Lane3DError, ParseError
+from lane3d.evaluate import EvalReport, MatchConfig, evaluate_frames
+from lane3d.model import (CameraPose, FlatFrame, Intrinsics, Lane2D, Lane3D, PairMap,
                           Prediction, Scene, _coerce, _encode, _lane_from_dict,
                           _parse_json, read_json, read_predictions, read_scenes,
                           write_predictions, write_scenes)
+from lane3d.reconstruct import SolveOptions
+from lane3d.synth import GeneratorConfig
 
 from conftest import straight_lane
 
@@ -64,6 +72,17 @@ def test_scene_unique_lane_ids(pose):
         Prediction(frame_id="f", camera=pose, lanes=[lane, lane], probs=[0.5, 0.5])
 
 
+def test_frame_strings_must_be_utf8(pose):
+    # JSON text cannot carry a lone surrogate (orjson rejects it), so these
+    # reach the check only as Python values
+    lane = straight_lane("a", 0.0, [1.0, 2.0])
+    for frame_id, lane_id, metadata in [("\udcff", "a", {}), ("f", "\ud800", {}),
+                                        ("f", "a", {"k": "\ud800"}), ("f", "a", {"\udcff": "v"})]:
+        with pytest.raises(InvariantViolation, match="ids and metadata must be UTF-8 strings"):
+            Scene(frame_id=frame_id, camera=pose, lanes=[replace(lane, id=lane_id)],
+                  metadata=metadata)
+
+
 def test_pairmap_nondecreasing_values():
     PairMap(pairs={0: 0, 1: 1, 2: 1}, source_id="a", target_id="b")
     with pytest.raises(InvariantViolation, match="nondecreasing"):
@@ -107,15 +126,31 @@ def test_read_hand_written_minimal_line(tmp_path):
     # camera fields take only JSON numbers: integral ints, finite floats; the
     # error keeps the path:line prefix of other record errors
     for field, bad, message in [
-            ('"width_px":1920', '"width_px":1e999', "width_px must be an integer, got inf"),
             ('"width_px":1920', '"width_px":1920.7', "width_px must be an integer, got 1920.7"),
             ('"width_px":1920', '"width_px":true', "width_px must be a number"),
-            ('"height_m":1.78', '"height_m":"1.78"', "height_m must be a number, got '1.78'"),
-            ('"height_m":1.78', '"height_m":1e999', "height_m must be finite, got inf"),
-            ('"fx":1000.0', '"fx":NaN', "fx must be finite, got nan")]:
+            ('"height_m":1.78', '"height_m":"1.78"', "height_m must be a number, got '1.78'")]:
         path.write_text("\n" + line.replace(field, bad) + "\n")
         with pytest.raises(InvalidInput, match=f"hand.jsonl:2: camera.*{message}"):
             read_scenes(path)
+    # a number past the double range or NaN is not JSON: orjson's reason
+    # names the column; the same values as Python numbers reach the field check
+    for key, old, bad, reason, value, message in [
+            ("width_px", "1920", "1e999", "number is infinity when parsed as double",
+             math.inf, "width_px must be an integer, got inf"),
+            ("height_m", "1.78", "1e999", "number is infinity when parsed as double",
+             math.inf, "height_m must be finite, got inf"),
+            ("fx", "1000.0", "NaN", "unexpected character",
+             math.nan, "fx must be finite, got nan")]:
+        text = line.replace(f'"{key}":{old}', f'"{key}":{bad}')
+        column = text.index(f'"{key}":{bad}') + len(key) + 4   # 1-based, at bad
+        path.write_text("\n" + text + "\n")
+        with pytest.raises(ParseError,
+                           match=f"hand.jsonl:2: invalid JSON: {reason}: line 1 column {column} "):
+            read_scenes(path)
+        doc = json.loads(line)
+        (doc["camera"] if key == "height_m" else doc["camera"]["intrinsics"])[key] = value
+        with pytest.raises(InvalidInput, match=f"camera.*{message}"):
+            Scene.from_dict(doc)
     # integral floats coerce to the same numbers
     path.write_text(line.replace('"width_px":1920', '"width_px":1920.0') + "\n")
     (same,) = read_scenes(path)
@@ -190,6 +225,99 @@ def test_int_field_never_takes_a_rounded_integer_literal(tmp_path):
     assert _coerce("x.seed", 0, 2 ** 70) == 2 ** 70
 
 
+def _reader_docs():
+    """Each reader's name: (a valid document, the parse function of the
+    reader), for the three JSONL records, a report and the four configs."""
+    pose = CameraPose(height_m=1.5, pitch_rad=0.01,
+                      intrinsics=Intrinsics(800.0, 810.0, 320.0, 240.0, 640, 480))
+    ys = [5.0, 10.0, 15.0]
+    scene = Scene(frame_id="f", camera=pose, metadata={"k": "v"},
+                  lanes=[straight_lane("l", -1.75, ys), straight_lane("r", 1.75, ys)])
+    pred = Prediction(frame_id="f", camera=pose, lanes=scene.lanes, probs=[0.9, 0.5])
+    flat = FlatFrame(frame_id="f", camera=pose, lanes=[
+        Lane2D(id=lane.id, points=lane.xy, visibility=lane.visibility) for lane in scene.lanes])
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    return {"scene": (scene.to_dict(), Scene.from_dict),
+            "prediction": (pred.to_dict(), Prediction.from_dict),
+            "flat": (flat.to_dict(), FlatFrame.from_dict),
+            "report": (evaluate_frames([scene], [pred]).to_dict(), EvalReport.from_dict),
+            **{stage: (json.loads((configs / f"{stage}_default.json").read_text()), cls.from_dict)
+               for stage, cls in [("generate", GeneratorConfig), ("augment", AugmentConfig),
+                                  ("reconstruct", SolveOptions), ("evaluate", MatchConfig)]}}
+
+
+_READER_DOCS = _reader_docs()
+
+# a deeply nested value; where a number belongs, the field's message shows it
+_DEEP = "[" * 5000 + "]" * 5000
+
+# JSON text fragments orjson rejects or reads at its limits
+_TOKENS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" * 5000, "-" + "9" * 400,
+           str(2 ** 63), str(2 ** 64 - 1), str(2 ** 64), str(2 ** 70), "-0.0", "1.5", "0",
+           "true", "null", '"\\ud800"', '"\\udcff"', '"\\u0000"', '"\udcff"', '"x"',
+           _DEEP, '{"a":' * 1000 + "1" + "}" * 1000,
+           '{"frame_id":NaN,"x":' + "[" * 1000 + "]" * 1000 + "}", "", "{", "}", "[", "]", ",", ":"]
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2 ** 63), 2 ** 64 - 1) | st.text(max_size=5)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8).map(lambda value: orjson.dumps(value).decode())
+
+# raw text: any string, any bytes as the readers decode them, or fragments
+_RAW_TEXT = (st.text() | st.binary().map(lambda b: b.decode("utf-8", "surrogateescape"))
+             | st.lists(st.sampled_from(_TOKENS), max_size=6).map("".join))
+
+
+def _slots(doc, path=()):
+    """The path of doc and of every value in it, plus one new key per object."""
+    yield path
+    if isinstance(doc, dict):
+        yield (*path, "extra")
+        for key, value in doc.items():
+            yield from _slots(value, (*path, key))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _slots(value, (*path, i))
+
+
+def _spliced(doc, path, token: str) -> str:
+    """doc's JSON text with token as the text of its value at path."""
+    if not path:
+        return token
+    mark = "\0splice\0"
+    doc = orjson.loads(orjson.dumps(doc))
+    reduce(getitem, path[:-1], doc)[path[-1]] = mark
+    return orjson.dumps(doc).decode().replace(orjson.dumps(mark).decode(), token)
+
+
+@st.composite
+def _reader_inputs(draw):
+    """(text, parse): raw text, or a reader's valid document whose value at
+    one path (or a new key) is replaced by a fragment or a random JSON value."""
+    doc, parse = draw(st.sampled_from(list(_READER_DOCS.values())))
+    if draw(st.booleans()):
+        return draw(_RAW_TEXT), parse
+    path = draw(st.sampled_from(list(_slots(doc))))
+    return _spliced(doc, path, draw(st.sampled_from(_TOKENS) | _JSON_VALUES)), parse
+
+
+@given(_reader_inputs())
+@example((_spliced(_READER_DOCS["scene"][0], ("camera", "height_m"), _DEEP), Scene.from_dict))
+@example((_spliced(_READER_DOCS["generate"][0], ("lane_width",), _DEEP),
+          GeneratorConfig.from_dict))
+@settings(max_examples=300, deadline=None)
+def test_every_reader_returns_a_value_or_raises_a_lane3d_error(case):
+    """Whatever text reaches a reader, it exits 2 with a reason or reads:
+    no input ends in another exception (a traceback and exit 1)."""
+    text, parse = case
+    try:
+        _parse_json("where", text, parse)
+    except Lane3DError as e:
+        assert str(e).startswith("where: ")
+
+
 def test_read_rejects_non_monotone_lane_naming_it(tmp_path, simple_scene):
     doc = simple_scene.to_dict()
     doc["lanes"][0]["points"][1][1] = -50.0   # break monotonicity of lane "left"
@@ -207,7 +335,6 @@ def test_read_rejects_non_monotone_lane_naming_it(tmp_path, simple_scene):
                           ([[0.0, 1.0, None]], "finite"),
                           ([[0.0, 1.0, [0.0]]], "finite numbers"),
                           ([[0.0, 1.0, "x"]], "finite numbers"),
-                          ([[0.0, 1.0, 10 ** 400]], "finite numbers"),
                           # np.fromiter reads these as 1.5, 0.0 and 1.0
                           ([["1.5", 1.0, 0.0]], "finite numbers"),
                           ([[0.0, 1.0, False]], "finite numbers"),
@@ -216,6 +343,15 @@ def test_read_rejects_non_monotone_lane_naming_it(tmp_path, simple_scene):
         path.write_text(json.dumps(doc) + "\n")
         with pytest.raises(InvariantViolation, match=f"bad.jsonl:1: lane 'left': .*{message}"):
             read_scenes(path)
+    # an integer past the double range is not JSON orjson reads, but is a
+    # Python value from_dict takes
+    rows = [[0.0, 1.0, 10 ** 400]]
+    doc["lanes"][0]["points"] = rows
+    path.write_text(json.dumps(doc) + "\n")
+    with pytest.raises(ParseError, match="bad.jsonl:1: invalid JSON: number is infinity"):
+        read_scenes(path)
+    with pytest.raises(InvariantViolation, match="lane 'left': points must be finite numbers"):
+        _lane_from_dict(Lane3D, {"id": "left", "points": rows, "visibility": [1]})
     # boolean visibility flags name the lane too; 0/1 numbers are the format
     doc = simple_scene.to_dict()
     n = len(doc["lanes"][0]["points"])
@@ -272,12 +408,18 @@ def test_prediction_prob_defaults_to_one(tmp_path, simple_scene):
     assert preds[0].probs == [1.0, 1.0]
     doc = json.loads(path.read_text())
     for bad, message in [("0.5", "lane 'left' prob must be a number, got '0.5'"),
-                         (True, "lane 'left' prob must be a number, got True"),
-                         (float("inf"), "lane 'left' prob must be finite")]:
+                         (True, "lane 'left' prob must be a number, got True")]:
         doc["lanes"][0]["prob"] = bad
         path.write_text(json.dumps(doc) + "\n")
         with pytest.raises(InvalidInput, match=f"scenes.jsonl:1: {message}"):
             read_predictions(path)
+    # Infinity is not JSON orjson reads, but is a Python value from_dict takes
+    doc["lanes"][0]["prob"] = math.inf
+    path.write_text(json.dumps(doc) + "\n")
+    with pytest.raises(ParseError, match="scenes.jsonl:1: invalid JSON: unexpected character"):
+        read_predictions(path)
+    with pytest.raises(InvalidInput, match="lane 'left' prob must be finite"):
+        Prediction.from_dict(doc)
     doc["lanes"][0]["prob"] = 1
     path.write_text(json.dumps(doc) + "\n")
     assert read_predictions(path)[0].probs == [1.0, 1.0]
