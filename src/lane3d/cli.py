@@ -59,11 +59,23 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _map_frames(fn, frames, *more) -> list:
+    """list(map(fn, frames, *more)); a Lane3DError names the frame it came from."""
+    out = []
+    for args in zip(frames, *more):
+        try:
+            out.append(fn(*args))
+        except Lane3DError as e:
+            raise type(e)(f"frame {args[0].frame_id!r}: {e}") from e
+    return out
+
+
 def cmd_augment(args) -> int:
     cfg = model.read_json(args.config, AugmentConfig.from_dict) if args.config \
         else AugmentConfig()
     scenes = model.read_scenes(args.in_path)
-    out = [augment_scene(scene, cfg, draw_index=i) for i, scene in enumerate(scenes)]
+    out = _map_frames(lambda scene, i: augment_scene(scene, cfg, draw_index=i),
+                      scenes, range(len(scenes)))
     model.write_scenes(out, args.out)
     print(f"augmented {len(out)} scenes to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -75,15 +87,14 @@ def _project_scene(scene: Scene) -> FlatFrame:
         try:
             points = project_virtual_top_xy(lane.xy, lane.z, scene.camera.height_m)
         except HeightExceedsCamera as e:
-            raise HeightExceedsCamera(
-                f"frame {scene.frame_id!r}, lane {lane.id!r}: {e}") from e
+            raise HeightExceedsCamera(f"lane {lane.id!r}: {e}") from e
         lanes.append(Lane2D(id=lane.id, points=points, visibility=lane.visibility))
     return FlatFrame(frame_id=scene.frame_id, camera=scene.camera, lanes=lanes)
 
 
 def cmd_project(args) -> int:
     scenes = model.read_scenes(args.in_path)
-    frames = [_project_scene(scene) for scene in scenes]
+    frames = _map_frames(_project_scene, scenes)
     model.write_flat_frames(frames, args.out)
     print(f"projected {len(frames)} frames to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -142,36 +153,20 @@ def cmd_evaluate(args) -> int:
 
 
 def _looks_like_report(path) -> bool:
-    """Whether path holds a report (one JSON object with per_frame) rather
-    than scene JSONL. A first line that parses as a whole object decides
-    it, so JSONL is read no further than that line: it is a report only
-    with per_frame and nothing after it. The whole file is parsed only when
-    the first line does not parse (an indented report, not JSON) or when a
-    report line is followed by more. Text orjson rejects (its errors are
-    ValueErrors) with a first line that does not parse is read as a report,
-    so the error names the line and column where the text breaks, not the
-    opening brace of an indented report; bytes that are not UTF-8 are
-    decoded as lone surrogates, which orjson rejects."""
+    """Whether path holds a report rather than scene JSONL, told from its
+    first line alone, so neither is parsed here beyond that line: a first
+    line that starts with '{' and does not parse alone (the indented report
+    write_json writes, or broken text whose error read_report then names),
+    or that parses to an object holding per_frame. Bytes that are not UTF-8
+    are decoded as lone surrogates, which the reader rejects."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        head = fh.read(1).strip()
-        if head != "{":
-            return False
-        fh.seek(0)
-        try:
-            first = model._loads(fh.readline())
-        except ValueError:
-            first = None
-        else:
-            if "per_frame" not in first:
-                return False
-            if not fh.readline():
-                return True
-        fh.seek(0)
-        try:
-            doc = model._loads(fh.read())
-        except ValueError:
-            return first is None
-    return "per_frame" in doc
+        first = fh.readline()
+    if not first.startswith("{"):
+        return False
+    try:
+        return "per_frame" in model._loads(first)
+    except ValueError:
+        return True
 
 
 def cmd_plot(args) -> int:

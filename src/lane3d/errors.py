@@ -26,10 +26,6 @@ class InvalidInput(Lane3DError):
     """Operation called with structurally unusable input."""
 
 
-class SpecError(Lane3DError):
-    """Road specification violates one of its invariants."""
-
-
 class NoPairing(Lane3DError):
     """Point-pair matching rejected every boundary pair; reconstruction has
     no width signal to work with."""

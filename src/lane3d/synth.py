@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, SpecError
+from .errors import InvalidInput
 from .model import CameraPose, Config, Intrinsics, Lane3D, Scene, check_range
 from .projection import compute_visibility
 
@@ -30,7 +30,7 @@ class HillProfile:
 
     def __post_init__(self):
         if self.length <= 0:
-            raise SpecError("hill length must be positive")
+            raise InvalidInput("hill length must be positive")
 
     def z_at(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -60,18 +60,18 @@ class RoadSpec:
 
     def __post_init__(self):
         if self.lane_width <= 0:
-            raise SpecError("lane_width must be positive")
+            raise InvalidInput("lane_width must be positive")
         if self.num_boundaries < 2:
-            raise SpecError("num_boundaries must be at least 2")
+            raise InvalidInput("num_boundaries must be at least 2")
         if not self.y_start < self.y_end:
-            raise SpecError("y_start must be below y_end")
+            raise InvalidInput("y_start must be below y_end")
         if self.y_step <= 0:
-            raise SpecError("y_step must be positive")
+            raise InvalidInput("y_step must be positive")
         ys = self.y_grid()
         if len(ys) < 2:
-            raise SpecError("the y grid needs at least two points")
+            raise InvalidInput("the y grid needs at least two points")
         if np.max(self.z_at(ys)) >= self.camera.height_m:
-            raise SpecError("height profile must stay below the camera height")
+            raise InvalidInput("height profile must stay below the camera height")
 
     def y_grid(self) -> np.ndarray:
         return np.arange(self.y_start, self.y_end + 1e-9, self.y_step)
@@ -158,14 +158,21 @@ class GeneratorConfig(Config):
         if not 0.0 <= self.flat_fraction <= 1.0:
             raise InvalidInput("flat_fraction must be within [0, 1]")
         self.road()
-        # a hill peak is drawn from [lo, hi) unless every road is flat; one
-        # reaching the camera height would fail RoadSpec's check mid-run
+        # a hill is drawn from [lo, hi) ranges unless every road is flat; a
+        # peak reaching the camera height would fail RoadSpec's check and a
+        # nonpositive length HillProfile's, mid-run
+        if self.flat_fraction == 1.0:
+            return
         lo, hi = self.hill.peak_z_range
         h = self.camera.height_m
-        if self.flat_fraction < 1.0 and (hi > h or lo >= h):
+        if hi > h or lo >= h:
             raise InvalidInput(
                 "GeneratorConfig.hill.peak_z_range must stay below the camera height "
                 f"{h}, got {[lo, hi]}")
+        lo, hi = self.hill.length_range
+        if lo <= 0:
+            raise InvalidInput(
+                f"GeneratorConfig.hill.length_range must be positive, got {[lo, hi]}")
 
     def road(self, **drawn) -> RoadSpec:
         """The road spec of the fields every scene shares plus the drawn ones;

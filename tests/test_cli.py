@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lane3d
+from lane3d import model
 from lane3d.augment import AugmentConfig
 from lane3d.cli import _looks_like_report, main
 from lane3d.errors import InvalidInput
@@ -96,6 +97,30 @@ def test_augment_deterministic(tmp_path):
         outs.append(dst.read_bytes())
     assert outs[0] == outs[1] != outs[2]
     assert run(["augment", "--in", src, "--seed", 9, "--out", tmp_path / "d.jsonl"]) == 1
+
+
+# frame_1's lane 'right' holds these points; every generated frame has a
+# lane_0, so the lane alone does not say which frame failed
+@pytest.mark.parametrize("command, points, message", [
+    ("augment", [[50.0, 5.0, 0.0], [-50.0, 5.01, 0.0]],
+     "points must be strictly increasing in y"),
+    ("project", [[1.75, 10.0, 1.5], [1.75, 20.0, 0.0]],
+     "points must be strictly increasing in y"),
+    ("project", [[1.75, 10.0, 0.0], [1.75, 20.0, 1.78]],
+     "point height z >= camera height 1.78: no virtual top view"),
+], ids=["augment-yawed-lateral-lane", "project-folding-lane", "project-lane-at-camera-height"])
+def test_augment_and_project_name_the_frame_whose_lane_fails(tmp_path, capsys, simple_scene,
+                                                            command, points, message):
+    src = tmp_path / "src.jsonl"
+    lane = Lane3D(id="right", points=points, visibility=[1, 1])
+    write_scenes([simple_scene, dataclasses.replace(simple_scene, frame_id="frame_1",
+                                                    lanes=[simple_scene.lanes[0], lane])], src)
+    yaw = tmp_path / "yaw.json"
+    yaw.write_text(json.dumps({"yaw_range": [3.0, 3.0], "p_pitch": 0.0, "p_roll": 0.0,
+                               "p_yaw": 1.0}))
+    config = ["--config", yaw] if command == "augment" else []
+    assert run([command, "--in", src, *config, "--out", tmp_path / "out.jsonl"]) == 2
+    assert capsys.readouterr().err == f"lane3d: frame 'frame_1': lane 'right': {message}\n"
 
 
 def test_project_then_reconstruct_flat(tmp_path):
@@ -313,14 +338,18 @@ def test_misspelled_config_key_exit_2(tmp_path, capsys):
                         ({"hill": {"peak_z_range": [1.0, 2.0]}, "flat_fraction": 0.0},
                          "GeneratorConfig.hill.peak_z_range must stay below the camera height"),
                         ({"hill": {"peak_z_range": [1.78, 1.78]}},
-                         "GeneratorConfig.hill.peak_z_range must stay below the camera height")]:
+                         "GeneratorConfig.hill.peak_z_range must stay below the camera height"),
+                        ({"hill": {"length_range": [-10.0, 5.0]}},
+                         "gen.json: GeneratorConfig.hill.length_range must be positive, "
+                         "got [-10.0, 5.0]")]:
         gen.write_text(config if isinstance(config, str) else json.dumps(config))
         assert run(["generate", "--count", 0, "--config", gen,
                     "--out", tmp_path / "gen.jsonl"]) == 2
         assert key in capsys.readouterr().err
-    # peaks are drawn from [lo, hi), and never when every road is flat
+    # peaks are drawn from [lo, hi), and no hill when every road is flat
     for config in [{"hill": {"peak_z_range": [1.0, 1.78]}, "flat_fraction": 0.0},
-                   {"hill": {"peak_z_range": [1.0, 2.0]}, "flat_fraction": 1.0}]:
+                   {"hill": {"peak_z_range": [1.0, 2.0]}, "flat_fraction": 1.0},
+                   {"hill": {"length_range": [-10.0, 5.0]}, "flat_fraction": 1.0}]:
         gen.write_text(json.dumps(config))
         assert run(["generate", "--count", 5, "--config", gen,
                     "--out", tmp_path / "gen.jsonl"]) == 0
@@ -613,16 +642,19 @@ def test_plot_tells_report_from_jsonl_by_first_line(tmp_path):
     run(["evaluate", scenes, scenes, "--out", report])
     one_line = json.dumps(json.loads(report.read_text()))
     path = tmp_path / "input"
-    for text, expected in [(report.read_text(), True),        # indented report
-                           (one_line + "\n", True),
-                           (one_line + "\n" + one_line + "\n", False),
-                           (scenes.read_text(), False),
-                           ("", False),
-                           # not JSON from its first line: the report reader names where
-                           ("{not json\n", True),
-                           ("not json\n", False)]:
+    for text, expected, code in [
+            (report.read_text(), True, 0),        # indented report
+            (one_line + "\n", True, 0),
+            # a report line followed by more: the report reader names line 2
+            (one_line + "\n" + one_line + "\n", True, 2),
+            (scenes.read_text(), False, 0),
+            ("", False, 0),
+            # not JSON from its first line: the report reader names where
+            ("{not json\n", True, 2),
+            ("not json\n", False, 2)]:
         path.write_text(text)
         assert _looks_like_report(path) is expected, text[:40]
+        assert run(["plot", "--in", path, "--out", tmp_path / "figs"]) == code, text[:40]
     # JSONL is told from its first line, not by parsing the whole file
     line = scenes.read_text().splitlines()[0]
     path.write_text((line + "\n") * (4_000_000 // len(line) + 1))
@@ -634,6 +666,41 @@ def test_plot_tells_report_from_jsonl_by_first_line(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < size, (peak, size)
+
+
+def test_plot_parses_a_report_once(tmp_path, monkeypatch):
+    """The indented report evaluate writes is told from its first line, so
+    read_report is the only code that parses its whole text."""
+    scenes = tmp_path / "scenes.jsonl"
+    report = tmp_path / "report.json"
+    run(["generate", "--count", 2, "--seed", 11, "--out", scenes])
+    run(["evaluate", scenes, scenes, "--out", report])
+    texts = []
+    loads = model._loads
+    monkeypatch.setattr(model, "_loads", lambda text: texts.append(text) or loads(text))
+    assert run(["plot", "--in", report, "--out", tmp_path / "figs"]) == 0
+    assert texts.count(report.read_text()) == 1
+
+
+def test_plot_of_a_config_or_two_reports_exit_2_naming_it(tmp_path, capsys):
+    """An indented object without per_frame, such as a config, and a report
+    line followed by another both read as a report, whose reader says why
+    they are not one."""
+    scenes = tmp_path / "scenes.jsonl"
+    report = tmp_path / "report.json"
+    run(["generate", "--count", 2, "--seed", 11, "--out", scenes])
+    run(["evaluate", scenes, scenes, "--out", report])
+    one_line = json.dumps(json.loads(report.read_text()))
+    two = tmp_path / "two.json"
+    two.write_text(one_line + "\n" + one_line + "\n")
+    config = Path(CONFIGS) / "generate_default.json"
+    for path, message in [
+            (config, "malformed record: KeyError('per_frame')\n"),
+            (two, "invalid JSON: unexpected content after document: line 2 column 1 ")]:
+        capsys.readouterr()
+        assert run(["plot", "--in", path, "--out", tmp_path / "figs"]) == 2
+        assert capsys.readouterr().err.startswith(f"lane3d: {path}: {message}")
+    assert not (tmp_path / "figs").exists()
 
 
 def test_usage_error_exit_1():

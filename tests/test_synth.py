@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lane3d.errors import InvalidInput, InvariantViolation, SpecError
+from lane3d.errors import InvalidInput, InvariantViolation
 from lane3d.model import Lane3D
 from lane3d.projection import (lift_from_virtual_top_xy, project_virtual_top_xy,
                                resample_flat)
@@ -51,13 +51,13 @@ def test_more_boundaries_spacing():
 
 
 def test_spec_errors_named():
-    with pytest.raises(SpecError, match="lane_width"):
+    with pytest.raises(InvalidInput, match="lane_width"):
         RoadSpec(lane_width=0.0)
-    with pytest.raises(SpecError, match="y_start"):
+    with pytest.raises(InvalidInput, match="y_start"):
         RoadSpec(y_start=50.0, y_end=10.0)
-    with pytest.raises(SpecError, match="y grid needs at least two points"):
+    with pytest.raises(InvalidInput, match="y grid needs at least two points"):
         RoadSpec(y_start=3.0, y_end=4.0, y_step=4.0)
-    with pytest.raises(SpecError, match="camera height"):
+    with pytest.raises(InvalidInput, match="camera height"):
         RoadSpec(height_profile=HillProfile(start_y=20.0, length=40.0, peak_z=2.0))
 
 
@@ -146,8 +146,12 @@ def test_generator_config_sections_keep_the_defaults_they_omit():
     assert generate_scenes({"camera": {"pitch_rad": 0.02}}, 1, seed=0)[0].camera == cfg.camera
     for bad, name in [({"x_offset_range": (2.0, 1.0)}, "x_offset_range"),
                       ({"curvature_range": (0.0, 0.1, 0.2)}, "curvature_range"),
-                      ({"flat_fraction": -0.1}, "flat_fraction")]:
+                      ({"flat_fraction": -0.1}, "flat_fraction"),
+                      # lengths are drawn from [lo, hi), unless every road is flat
+                      ({"hill": HillRanges(length_range=(0.0, 5.0))},
+                       r"hill\.length_range must be positive, got \[0\.0, 5\.0\]")]:
         with pytest.raises(InvalidInput, match=name):
             GeneratorConfig(**bad)
+    GeneratorConfig(hill=HillRanges(length_range=(0.0, 5.0)), flat_fraction=1.0)
     with pytest.raises(InvalidInput, match="length_range"):
         HillRanges(length_range=(1.0,))
