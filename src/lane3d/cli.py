@@ -41,12 +41,19 @@ def _count(text: str) -> int:
     return int(text)
 
 
+# characters XML 1.0 cannot hold: a figure whose title held one would not parse
+_NOT_XML = frozenset(map(chr, [*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF]))
+
+
 def _frame_file(directory: Path, frame_id: str, suffix: str) -> Path:
     """directory/<frame_id><suffix>; a frame id that is not one plain path
     component (a separator, '..', an absolute path) would write elsewhere,
-    and a NUL byte cannot be opened at all."""
+    and a NUL byte cannot be opened at all. The id is also the figure's
+    title, so it must hold no character XML 1.0 cannot hold."""
     if frame_id == ".." or Path(frame_id).name != frame_id or "\0" in frame_id:
         raise InvalidInput(f"frame id {frame_id!r} is not a plain file name")
+    if not _NOT_XML.isdisjoint(frame_id):
+        raise InvalidInput(f"frame id {frame_id!r} holds a character XML 1.0 cannot hold")
     return directory / f"{frame_id}{suffix}"
 
 

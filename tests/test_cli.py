@@ -275,21 +275,30 @@ def test_frame_id_that_is_not_a_plain_name_exit_2(tmp_path, frame_id):
         "work", "work/flat.jsonl", "work/rec.jsonl", "work/scenes.jsonl"]
 
 
-def test_plot_that_exits_2_writes_nothing(tmp_path):
+def test_plot_that_exits_2_writes_nothing(tmp_path, capsys):
     """Every input is read and every figure named before --out is made: a
-    bad frame id in the last of three frames, or a report that does not
-    read, leaves no directory and no figure."""
+    bad frame id in the last of three frames (not a plain file name, or
+    holding a character XML 1.0 cannot hold, which would make a malformed
+    figure title), or a report that does not read, leaves no directory and
+    no figure."""
     scenes = tmp_path / "scenes.jsonl"
     run(["generate", "--count", 3, "--seed", 14, "--out", scenes])
     frames = read_scenes(scenes)
-    frames[2].frame_id = "nested/escaped"
-    write_scenes(frames, scenes)
     report = tmp_path / "report.json"
     report.write_text(json.dumps({"per_frame": []}))
     figs = tmp_path / "figs"
-    for args in [["--in", scenes], ["--in", scenes, "--pred", scenes], ["--in", report]]:
-        assert run(["plot", *args, "--out", figs]) == 2
-        assert not figs.exists()
+    for frame_id, reason in [("nested/escaped", "is not a plain file name"),
+                             ("a\u0001b", "holds a character XML 1.0 cannot hold"),
+                             ("a\ufffeb", "holds a character XML 1.0 cannot hold")]:
+        frames[2].frame_id = frame_id
+        write_scenes(frames, scenes)
+        for args in [["--in", scenes], ["--in", scenes, "--pred", scenes]]:
+            capsys.readouterr()
+            assert run(["plot", *args, "--out", figs]) == 2
+            assert f"frame id {frame_id!r} {reason}" in capsys.readouterr().err
+            assert not figs.exists()
+    assert run(["plot", "--in", report, "--out", figs]) == 2
+    assert not figs.exists()
 
 
 def test_shipped_configs_parse_to_the_code_defaults():

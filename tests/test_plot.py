@@ -1,8 +1,10 @@
-"""Scene SVGs must be byte-identical to the per-point renderer kept below as
-the reference: the axis ranges, the scaling expression and the "%.2f" point
-format may not change a single character of any figure."""
+"""Figures must be byte-identical to the ElementTree renderers kept below as
+the reference: the axis ranges, the scaling expression, the "%.2f" point
+format and the escaping of a frame id may not change a single character of
+any figure."""
 
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lane3d import plot
+from lane3d.cli import main
+from lane3d.evaluate import EvalReport, FrameBreakdown, PairStats, read_report
 from lane3d.model import CameraPose, Intrinsics, Lane3D, Scene
 
 from conftest import H_CAM, straight_lane
@@ -19,7 +23,7 @@ POSE = CameraPose(height_m=H_CAM, pitch_rad=0.0,
                                         width_px=1920, height_px=1080))
 
 
-# --- reference: the per-point renderer -------------------------------------
+# --- reference: the per-point ElementTree renderer --------------------------
 
 def _ref_axis_range(values, pad_frac=0.08, min_span=1.0):
     lo, hi = float(np.min(values)), float(np.max(values))
@@ -85,15 +89,45 @@ def _ref_render_scene_svg(scene, pred_lanes=None):
     return svg
 
 
+def _ref_render_report_svg(report):
+    W, H, M = plot._PANEL_W, plot._PANEL_H, plot._MARGIN
+    svg = ET.Element("svg", {"xmlns": "http://www.w3.org/2000/svg",
+                             "width": str(W), "height": str(H)})
+    header = ET.SubElement(svg, "text", {"x": str(W / 2), "y": "25",
+                                         "text-anchor": "middle", "font-size": "15"})
+    header.text = (f"F={report.f_score:.3f}  AP={report.ap:.3f}  "
+                   f"thr={report.best_threshold:.2f}")
+    bars = [("x near", report.x_err_near), ("x far", report.x_err_far),
+            ("z near", report.z_err_near), ("z far", report.z_err_far)]
+    top = max(max(v for _, v in bars), 1e-6)
+    slot = (W - 2 * M) / len(bars)
+    for i, (name, value) in enumerate(bars):
+        height = (value / top) * (H - 2 * M - 30)
+        x = M + i * slot + slot * 0.2
+        y = H - M - height
+        ET.SubElement(svg, "rect", {
+            "x": f"{x:.2f}", "y": f"{y:.2f}", "width": f"{slot * 0.6:.2f}",
+            "height": f"{height:.2f}",
+            "fill": plot.PRED_COLOR if "far" in name else plot.GT_COLOR,
+            "class": "metric-bar"})
+        label = ET.SubElement(svg, "text", {"x": f"{x + slot * 0.3:.2f}", "y": str(H - M + 16),
+                                            "text-anchor": "middle", "font-size": "11"})
+        label.text = name
+        val = ET.SubElement(svg, "text", {"x": f"{x + slot * 0.3:.2f}", "y": f"{y - 5:.2f}",
+                                          "text-anchor": "middle", "font-size": "10"})
+        val.text = f"{value:.3g}"
+    return svg
+
+
 # ---------------------------------------------------------------------------
 
 def _assert_same_svg(scene, pred_lanes):
-    assert (ET.tostring(plot.render_scene_svg(scene, pred_lanes))
-            == ET.tostring(_ref_render_scene_svg(scene, pred_lanes)))
+    assert plot.render_scene_svg(scene, pred_lanes) \
+        == ET.tostring(_ref_render_scene_svg(scene, pred_lanes), encoding="unicode")
 
 
-def _scene(lanes):
-    return Scene(frame_id="f", camera=POSE, lanes=lanes)
+def _scene(lanes, frame_id="f"):
+    return Scene(frame_id=frame_id, camera=POSE, lanes=lanes)
 
 
 def _lane(lane_id, points):
@@ -101,7 +135,8 @@ def _lane(lane_id, points):
 
 
 @pytest.mark.parametrize("case", ["no_lanes", "pred_none", "pred_empty", "pred_only",
-                                  "one_point", "flat_z", "gt_and_pred", "tie"])
+                                  "one_point", "flat_z", "gt_and_pred", "tie",
+                                  "id_markup", "id_quotes", "id_non_ascii", "id_whitespace"])
 def test_scene_svg_bytes_equal_per_point_reference(simple_scene, case):
     ys = np.arange(5.0, 101.0, 5.0)
     hilly = [straight_lane("l", -1.7, ys, z=0.002 * ys ** 1.5),
@@ -119,6 +154,12 @@ def test_scene_svg_bytes_equal_per_point_reference(simple_scene, case):
         # expression multiplies before it divides
         "tie": (_scene([_lane("a", [[11.375, 1.0, 0.0], [1.375, 2.0, 0.0],
                                     [2.75, 3.0, 0.0]])]), None),
+        # the frame id is the only record text in a figure: it is escaped as
+        # ElementTree escapes character data, quotes and whitespace as they are
+        "id_markup": (_scene(hilly, "a&b<c>d&amp;]]>"), None),
+        "id_quotes": (_scene(hilly, "say \"hi\" it's"), None),
+        "id_non_ascii": (_scene(hilly, "é漢字 ∑"), simple_scene.lanes),
+        "id_whitespace": (_scene(hilly, "tab\there\nlf\rcr\r\n"), None),
     }[case]
     _assert_same_svg(scene, pred)
 
@@ -131,10 +172,10 @@ def test_scene_svg_bytes_equal_per_point_reference(simple_scene, case):
     [1e-300, 123456.785, -3.14159, 375.0, 45.0],
 ])
 def test_polyline_format_equals_per_point_reference(values):
-    new, ref = ET.Element("g"), ET.Element("g")
-    plot._polyline(new, np.array(values), np.array(values[::-1]), "#000", "gt", True)
+    ref = ET.Element("g")
     _ref_polyline(ref, np.array(values), np.array(values[::-1]), "#000", "gt", True)
-    assert ET.tostring(new) == ET.tostring(ref)
+    assert plot._polyline(np.array(values), np.array(values[::-1]), "#000", "gt", True) \
+        == ET.tostring(ref[0], encoding="unicode")
 
 
 _coord = st.floats(min_value=-200.0, max_value=200.0, allow_nan=False)
@@ -156,3 +197,49 @@ def _lanes(draw, prefix):
 @settings(max_examples=60, deadline=None)
 def test_random_scene_svg_bytes_equal_per_point_reference(gt, pred):
     _assert_same_svg(_scene(gt), pred)
+
+
+def _readme_report(tmp_path):
+    """The report of the README pipeline, yaw-only augmentation."""
+    cfg = Path(__file__).resolve().parents[1] / "configs"
+    scenes, aug, flat, rec, report = (tmp_path / name for name in (
+        "scenes.jsonl", "aug.jsonl", "flat.jsonl", "rec.jsonl", "report.json"))
+    for args in [["generate", "--config", cfg / "generate_default.json", "--count", 100,
+                  "--seed", 42, "--out", scenes],
+                 ["augment", "--in", scenes, "--config", cfg / "augment_yaw_only.json",
+                  "--out", aug],
+                 ["project", "--in", aug, "--out", flat],
+                 ["reconstruct", "--in", flat, "--config", cfg / "reconstruct_default.json",
+                  "--out", rec],
+                 ["evaluate", aug, rec, "--config", cfg / "evaluate_default.json",
+                  "--out", report]]:
+        assert main([str(a) for a in args]) == 0
+    return read_report(report)
+
+
+def _dwarfed_report():
+    """One matched pair whose x far error is thousands of times the others."""
+    pair = PairStats(gt_id="g", pred_id="p", cost=0.1, x_near_sum=0.02, x_far_sum=400.0,
+                     z_near_sum=0.01, z_far_sum=0.03, near_count=4, far_count=8)
+    return EvalReport(pr_curve=[(0.5, 0.5, 1.0)],
+                      per_frame=[FrameBreakdown(frame_id="f", fp=1, fn=0, pair_stats=[pair])])
+
+
+@pytest.mark.parametrize("case", ["empty", "readme", "dwarfed"])
+def test_report_svg_equals_reference(tmp_path, case):
+    report = {"empty": lambda: EvalReport(pr_curve=[(0.5, 0.0, 0.0)], per_frame=[]),
+              "readme": lambda: _readme_report(tmp_path),
+              "dwarfed": _dwarfed_report}[case]()
+    assert plot.render_report_svg(report) \
+        == ET.tostring(_ref_render_report_svg(report), encoding="unicode")
+
+
+def test_write_svg_writes_the_declaration_and_the_markup_as_utf8(tmp_path, simple_scene):
+    """The declaration is the one ElementTree writes for encoding="unicode" to a
+    file name; a newline in the markup stays one byte on Linux."""
+    svg = plot.render_scene_svg(_scene(simple_scene.lanes, "é\t漢\r\nx&y"))
+    path = tmp_path / "f.svg"
+    plot.write_svg(svg, path)
+    assert path.read_bytes() == b"<?xml version='1.0' encoding='utf-8'?>\n" + svg.encode()
+    # an XML parser reads the CR LF back as one LF
+    assert ET.parse(path).getroot()[0][1].text == "é\t漢\nx&y: top view"
