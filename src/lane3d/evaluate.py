@@ -29,7 +29,7 @@ from dataclasses import astuple, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import HeightExceedsCamera, InvalidInput, InvariantViolation
 from .model import (Config, Lane3D, Prediction, Scene, _coerce, _is_utf8, _numbers,
                     _same_json, read_json, write_json)
 from .projection import resample_flat
@@ -191,10 +191,15 @@ class _FrameTables:
 
 
 def _frame_tables(gt: list[Lane3D], pred: list[Lane3D], cfg: MatchConfig,
-                  h_cam: float) -> _FrameTables:
+                  h_cam: float, frame_id: str) -> _FrameTables:
     refs = np.asarray(cfg.eval_y_refs, dtype=float)
-    gt_rs = [resample_flat(lane, h_cam, refs) for lane in gt]
-    pred_rs = [resample_flat(lane, h_cam, refs) for lane in pred]
+    resampled = []
+    for kind, lanes in (("GT", gt), ("prediction", pred)):
+        try:
+            resampled.append([resample_flat(lane, h_cam, refs) for lane in lanes])
+        except (HeightExceedsCamera, InvariantViolation) as e:
+            raise type(e)(f"frame {frame_id!r}: {kind} {e}") from e
+    gt_rs, pred_rs = resampled
 
     cost = np.full((len(gt), len(pred)), np.inf)
     admissible = np.zeros(cost.shape, dtype=bool)
@@ -245,7 +250,7 @@ def match_lanes(gt: list[Lane3D], pred: list[tuple[Lane3D, float]],
     caller's probability threshold; edge cost is the mean pointwise
     flat-ground/height distance over co-visible references.
     """
-    tables = _frame_tables(gt, [lane for lane, _ in pred], cfg, h_cam)
+    tables = _frame_tables(gt, [lane for lane, _ in pred], cfg, h_cam, frame_id)
     return _match_columns(tables, list(range(len(pred))), cfg, frame_id)
 
 
@@ -440,7 +445,7 @@ def evaluate_frames(gt_scenes: list[Scene], predictions: list[Prediction],
         candidates = [(lane, prob) for lane, prob in zip(pred.lanes, pred.probs)
                       if prob >= lowest]
         tables = _frame_tables(scene.lanes, [lane for lane, _ in candidates], cfg,
-                               scene.camera.height_m)
+                               scene.camera.height_m, scene.frame_id)
         by_kept = {}
         for threshold, matchings in zip(cfg.prob_thresholds, per_threshold):
             cols = tuple(j for j, (_, prob) in enumerate(candidates) if prob >= threshold)

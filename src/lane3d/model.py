@@ -8,8 +8,8 @@ Coordinate conventions shared by every module:
   flat ground  the z = 0 plane of the ego frame; all 2D lane representations
                live here.
 
-All types are immutable values after construction and validate their
-invariants up front: operations reject bad input instead of normalizing it.
+Every type checks its invariants when it is built, rejecting bad input. Lane
+arrays are read-only and configs frozen; a reassigned field is not re-checked.
 """
 
 from __future__ import annotations
@@ -454,7 +454,7 @@ def _read_jsonl(path, from_dict):
     out = {}
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+            line = line.strip(" \t\r\n")   # JSON whitespace only, as orjson reads it
             if line:
                 rec = _parse_json(f"{path}:{lineno}", line, from_dict)
                 if rec.frame_id in out:

@@ -42,11 +42,14 @@ def resample_flat(lane: Lane3D, h_cam: float, y_refs) -> tuple[np.ndarray, np.nd
     and False outside the lane's flat span. Raises InvariantViolation when
     the virtual projection folds the lane (flat y not strictly increasing)."""
     refs = np.asarray(y_refs, dtype=float)
-    flat = project_virtual_top_xy(lane.xy, lane.z, h_cam)
+    try:
+        flat = project_virtual_top_xy(lane.xy, lane.z, h_cam)
+    except HeightExceedsCamera as e:
+        raise HeightExceedsCamera(f"lane {lane.id!r}: {e}") from e
     fy = flat[:, 1]
     if not np.all(np.diff(fy) > 0):
         raise InvariantViolation(
-            f"lane '{lane.id}': flat-ground y not strictly increasing; "
+            f"lane {lane.id!r}: flat-ground y not strictly increasing; "
             "the virtual projection folds this lane")
     x = np.interp(refs, fy, flat[:, 0])
     z = np.interp(refs, fy, lane.z)

@@ -7,23 +7,23 @@ known true width c gives z = h * (1 - c / D_flat) exactly.
 The iterative solver refines per-point heights for a pair of boundaries by
 gradient descent on
 
-    J(z) = sum_pairs (D_3D(z) - c_hat)^2 + lambda_geo * G(z)
+    J(z) = sum_pairs (w3(z) - c_hat)^2 + lambda_geo * 5h * sum |second diff of z|
 
-where c_hat is the median near-range flat width (the least distorted part
-of the lane) and G applies the geometry prior's second-difference L1 form
-to each boundary's height profile. The height profiles are where the prior
-can average out measurement noise across neighboring pairs; the width
-series themselves are exactly constant wherever the data term is satisfied,
-so penalizing them adds no information (see pair_objective). Descent starts
-at the closed form and uses a backtracking line search, so the objective
-never increases across accepted steps.
+where w3 is a pair's lifted width, c_hat the median near-range flat width
+(the least distorted part of the lane), and the L1 sum runs over each
+boundary's height profile, weighted by _Z_SERIES_WEIGHT * h = 5h. The height
+profiles are where the prior can average out measurement noise across
+neighboring pairs; the width series themselves are exactly constant wherever
+the data term is satisfied, so penalizing them adds no information (see
+pair_objective). Descent starts at the closed form and uses a backtracking
+line search, so the objective never increases across accepted steps.
 
-Descent starts with step 0.05 and stops at the first of: no step of 20
-halvings lowers J ("no_descent"); an accepted step lowers J by less than
-1e-10 ("tol"); an accepted step moves no height by 10 micrometres or more
-("step"); or 400 accepted steps ("max_iters"). The step rule ends the slow
-crawl the L1 prior causes on noisy pairs, where hundreds of tiny steps each
-still lower J but move the heights by millimetres in total.
+Descent starts with step 0.05 and stops at the first of three rules: no step
+of 20 halvings lowers J ("no_descent"); an accepted step moves no height by
+10 micrometres or more ("step"); or 400 accepted steps ("max_iters"). The
+step rule ends the slow crawl the L1 prior causes on noisy pairs, where
+hundreds of tiny steps each still lower J but move the heights by
+millimetres in total.
 """
 
 from __future__ import annotations
@@ -43,21 +43,20 @@ _Z_CLAMP_MARGIN = 1e-6
 _NEAR_RANGE_PAIRS = 3
 _Z_SERIES_WEIGHT = 5.0   # height-profile penalty scale, in camera heights
 _STEP = 0.05             # initial and largest descent step
-_TOL = 1e-10             # an accepted step lowering J by less than this ends descent
 _MAX_ITERS = 400         # accepted steps before the descent stops
 _MAX_HALVINGS = 20       # line-search step halvings before the descent stops
-_Z_STEP_TOL = 1e-5       # metres: an accepted step moving no height this far ends descent
-STOP_REASONS = ("no_descent", "tol", "step", "max_iters")
+_MIN_Z_STEP = 1e-5       # metres: an accepted step moving no height this far ends descent
+STOP_REASONS = ("no_descent", "step", "max_iters")
 LANE_STATUSES = ("ok", "no_pairing", "folded")
 
 
 def closed_form_heights(d_flat: np.ndarray, true_width: float, h_cam: float) -> np.ndarray:
     """Vectorized width-ratio inversion: z = h * (1 - c / D_flat)."""
     d = np.asarray(d_flat, dtype=float)
-    if true_width <= 0:
-        raise InvalidInput("true_width must be positive")
     if np.any(d <= _MIN_FLAT_WIDTH):
         raise DegeneratePair("flat pair distance too small to carry width information")
+    if true_width <= 0:
+        raise InvalidInput("true_width must be positive")
     return h_cam * (1.0 - true_width / d)
 
 
@@ -161,9 +160,6 @@ def prepare_pair(left: Lane2D, right: Lane2D, h_cam: float,
     a = left.points[i_idx]
     b = right.points[j_idx]
     d_flat = np.linalg.norm(a - b, axis=1)
-    if np.any(d_flat <= _MIN_FLAT_WIDTH):
-        raise DegeneratePair(
-            f"degenerate flat pair between '{left.id}' and '{right.id}'")
     c_hat = float(np.median(d_flat[:_NEAR_RANGE_PAIRS]))
 
     z0 = closed_form_heights(d_flat, c_hat, h_cam)
@@ -184,7 +180,6 @@ def solve_boundary_pair(left: Lane2D, right: Lane2D, h_cam: float,
     value, grad = pair_objective(z, ctx)
     step = _STEP
     trace = [(0, value, step)]
-    iters = 0
     stop = "max_iters"
     for it in range(1, _MAX_ITERS + 1):
         trial = z - step * grad
@@ -205,16 +200,11 @@ def solve_boundary_pair(left: Lane2D, right: Lane2D, h_cam: float,
             k = int(accepted[0])
             step = float(steps[k])
             trial, trial_value, trial_grad = trials[k], float(values[k]), grads[k]
-        improvement = value - trial_value
         moved = float(np.max(np.abs(trial - z)))
         z, value, grad = trial, trial_value, trial_grad
-        iters = it
         trace.append((it, value, step))
-        if moved < _Z_STEP_TOL:
+        if moved < _MIN_Z_STEP:
             stop = "step"
-            break
-        if improvement < _TOL:
-            stop = "tol"
             break
         if not backtracked:
             step = min(step * 1.25, _STEP)
@@ -224,7 +214,7 @@ def solve_boundary_pair(left: Lane2D, right: Lane2D, h_cam: float,
     clamped_left = bool(np.any(zl > limit))
     clamped_right = bool(np.any(zr > limit))
     return PairSolve(z_left=np.minimum(zl, limit), z_right=np.minimum(zr, limit),
-                     c_hat=ctx.c_hat, iters=iters, stop=stop,
+                     c_hat=ctx.c_hat, iters=len(trace) - 1, stop=stop,
                      clamped_left=clamped_left, clamped_right=clamped_right, trace=trace)
 
 

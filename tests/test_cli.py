@@ -223,7 +223,7 @@ def test_reconstruct_prints_stop_histogram(tmp_path, capsys):
     (line,) = [ln for ln in capsys.readouterr().err.splitlines()
                if ln.startswith("solver stops: ")]
     counts = {reason: int(n) for reason, n in (item.split("=") for item in line.split()[2:])}
-    assert list(counts) == ["no_descent", "tol", "step", "max_iters"] == list(STOP_REASONS)
+    assert list(counts) == ["no_descent", "step", "max_iters"] == list(STOP_REASONS)
     solved = Counter(stop for frame in frames
                      for stop in solve_frame(frame.lanes, frame.camera.height_m).stops)
     assert counts == {reason: solved[reason] for reason in STOP_REASONS}
@@ -488,6 +488,30 @@ def test_evaluate_prediction_with_duplicate_lane_ids_exit_2(tmp_path, capsys):
     assert run(["evaluate", gt, pred, "--out", tmp_path / "report.json"]) == 2
     assert "pred.jsonl:2: frame 'synth_8_00001': lane ids must be unique" \
         in capsys.readouterr().err
+
+
+# frame_1's GT lane 'right' reaches the camera height, or its prediction lane
+# 'right' folds in the virtual top view; every other lane resamples
+@pytest.mark.parametrize("bad_file, points, message", [
+    ("gt", [[1.75, 10.0, 0.0], [1.75, 20.0, 1.78]],
+     "GT lane 'right': point height z >= camera height 1.78: no virtual top view"),
+    ("pred", [[1.75, 10.0, 1.5], [1.75, 20.0, 0.0]],
+     "prediction lane 'right': flat-ground y not strictly increasing; "
+     "the virtual projection folds this lane"),
+], ids=["gt-lane-at-camera-height", "prediction-lane-that-folds"])
+def test_evaluate_names_the_frame_and_lane_it_cannot_resample(tmp_path, capsys, simple_scene,
+                                                              bad_file, points, message):
+    lane = Lane3D(id="right", points=points, visibility=[1, 1])
+    frame_1 = dataclasses.replace(simple_scene, frame_id="frame_1")
+    paths = {name: tmp_path / f"{name}.jsonl" for name in ("gt", "pred")}
+    for name, path in paths.items():
+        last = dataclasses.replace(frame_1, lanes=[frame_1.lanes[0], lane]) \
+            if name == bad_file else frame_1
+        write_scenes([simple_scene, last], path)
+    report = tmp_path / "report.json"
+    assert run(["evaluate", paths["gt"], paths["pred"], "--out", report]) == 2
+    assert capsys.readouterr().err == f"lane3d: frame 'frame_1': {message}\n"
+    assert not report.exists()
 
 
 def test_duplicate_frame_id_in_one_file_exit_2(tmp_path, capsys):
@@ -767,6 +791,22 @@ def test_text_orjson_rejects_exit_2_as_invalid_json(tmp_path, capsys, text, comm
     assert run([paths.get(arg, arg) for arg in command]) == 2
     assert capsys.readouterr().err.startswith(f"lane3d: {paths['BAD']}{line}: invalid JSON: ")
     assert not paths["OUT"].exists()
+
+
+# Unicode whitespace that is not JSON whitespace around a scene line, or
+# alone on a line, is text orjson rejects, not a blank line to skip
+@pytest.mark.parametrize("wrap, lineno", [
+    (lambda line: f"\u00a0{line}\u3000", 1),
+    (lambda line: f"{line}\n\x1c", 2),
+], ids=["nbsp-and-ideographic-space-around-a-line", "file-separator-alone-on-a-line"])
+def test_unicode_whitespace_is_not_json_whitespace(tmp_path, capsys, simple_scene, wrap, lineno):
+    bad, flat = tmp_path / "bad.jsonl", tmp_path / "flat.jsonl"
+    write_scenes([simple_scene], bad)
+    bad.write_text(wrap(bad.read_text().rstrip("\n")) + "\n", encoding="utf-8")
+    assert run(["project", "--in", bad, "--out", flat]) == 2
+    assert capsys.readouterr().err == f"lane3d: {bad}:{lineno}: invalid JSON: " \
+        "unexpected character: line 1 column 1 (char 0)\n"
+    assert not flat.exists()
 
 
 # line 2 of BAD holds a lane point that is not a JSON number (orjson reads

@@ -236,8 +236,8 @@ def test_closed_form_heights_vectorized():
 def sequential_halving_solve(left, right, h_cam, opts=SolveOptions(), step_rule=True):
     """Reference descent: one objective call per trial step, halving the
     step until J does not increase, at most 20 times; with step_rule, it
-    stops after an accepted step that moves no height by 1e-5 m. The step,
-    tol and max_iters are the solver's module constants, read when called."""
+    stops after an accepted step that moves no height by 1e-5 m. The step
+    and max_iters are the solver's module constants, read when called."""
     mod = lane3d.reconstruct
     ctx, z = prepare_pair(left, right, h_cam, opts)
     value, grad = pair_objective(z, ctx)
@@ -255,14 +255,11 @@ def sequential_halving_solve(left, right, h_cam, opts=SolveOptions(), step_rule=
             trial_value, trial_grad = pair_objective(trial, ctx)
         if trial_value > value:
             break
-        improvement = value - trial_value
         moved = np.max(np.abs(trial - z))
         z, value, grad = trial, trial_value, trial_grad
         iters = it
         trace.append((it, value, step))
         if step_rule and moved < 1e-5:
-            break
-        if improvement < mod._TOL:
             break
         if halvings == 0:
             step = min(step * 1.25, mod._STEP)
@@ -328,10 +325,7 @@ def test_noise_free_pair_makes_three_objective_calls(monkeypatch):
 # (spec, noise seed, solver constants overridden, expected stop): each reason
 # from one pair
 STOP_CASES = [(DENSE_HILL_SPEC, None, {}, "no_descent"),
-              (HILL_SPEC, 65, {"_TOL": 1e3}, "tol"),
               (HILL_SPEC, 65, {}, "step"),
-              # both rules end this descent's 7th step; the step rule reports
-              (HILL_SPEC, None, {"_TOL": 1e-5}, "step"),
               (HILL_SPEC, 65, {"_MAX_ITERS": 3}, "max_iters")]
 
 
@@ -347,7 +341,7 @@ def test_stop_reason_of_constructed_pairs(monkeypatch, spec, noise_seed, opts, s
     if stop == "step":
         assert 1 < res.iters < max_iters
     else:
-        assert res.iters == {"no_descent": 0, "tol": 1, "max_iters": max_iters}[stop]
+        assert res.iters == {"no_descent": 0, "max_iters": max_iters}[stop]
 
 
 def test_step_rule_stops_noisy_pair_near_the_descent_without_it():
