@@ -115,13 +115,10 @@ def cmd_reconstruct(args) -> int:
 
     def solve(frame: FlatFrame) -> Scene:
         result = solve_frame(frame.lanes, frame.camera.height_m, opts)
-        stops.update(result.stops)
-        statuses.update(result.statuses.values())
-        meta = {f"solver_status:{lane_id}": status
-                for lane_id, status in sorted(result.statuses.items())}
-        for lane_id, was_clamped in sorted(result.clamped.items()):
-            if was_clamped:
-                meta[f"solver_clamped:{lane_id}"] = "1"
+        stops.update(pair.stop for pair in result.pairs)
+        statuses.update(b.status for b in result.boundaries)
+        meta = {f"solver_status:{b.id}": b.status for b in result.boundaries}
+        meta.update((f"solver_clamped:{b.id}", "1") for b in result.boundaries if b.clamped)
         return Scene(frame_id=frame.frame_id, camera=frame.camera,
                      lanes=result.lanes, metadata=meta)
 

@@ -27,5 +27,4 @@ class InvalidInput(Lane3DError):
 
 
 class NoPairing(Lane3DError):
-    """Point-pair matching rejected every boundary pair; reconstruction has
-    no width signal to work with."""
+    """Point-pair matching rejected a boundary pair: it carries no width signal."""

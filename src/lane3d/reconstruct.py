@@ -173,11 +173,14 @@ def prepare_pair(left: Lane2D, right: Lane2D, h_cam: float,
 def solve_boundary_pair(left: Lane2D, right: Lane2D, h_cam: float,
                         opts: SolveOptions = SolveOptions()) -> PairSolve:
     """Solve one adjacent boundary pair; raises NoPairing when the matcher
-    rejects the pair. The result's stop field says which rule ended the
-    descent (see the module docstring)."""
+    rejects the pair and InvalidInput when J is not finite at the closed form,
+    so the descent never runs on NaN. The result's stop field says which rule
+    ended the descent (see the module docstring)."""
     ctx, z = prepare_pair(left, right, h_cam, opts)
 
     value, grad = pair_objective(z, ctx)
+    if not np.isfinite(value):
+        raise InvalidInput(f"objective of '{left.id}' and '{right.id}' is not finite")
     step = _STEP
     trace = [(0, value, step)]
     stop = "max_iters"
@@ -218,14 +221,38 @@ def solve_boundary_pair(left: Lane2D, right: Lane2D, h_cam: float,
                      clamped_left=clamped_left, clamped_right=clamped_right, trace=trace)
 
 
+@dataclass(slots=True)
+class LaneSolve:
+    """One input boundary's outcome."""
+    id: str
+    status: str = "no_pairing"           # one of LANE_STATUSES
+    clamped: bool = False                # any z clamped below h_cam
+    z: np.ndarray | None = None          # heights averaged over its solved pairs
+    lane: Lane3D | None = None           # the lifted lane, unless unpaired or folded
+
+
+@dataclass(slots=True)
+class PairStop:
+    stop: str                            # one solved pair's PairSolve.stop
+    trace: list                          # and its trace; the heights live in LaneSolve.z
+
+
 @dataclass
 class FrameSolve:
-    lanes: list[Lane3D]                  # valid reconstructed lanes, input order
-    statuses: dict[str, str]             # lane id -> one of LANE_STATUSES
-    clamped: dict[str, bool]             # lane id -> any z clamped below h_cam
-    z_by_lane: dict[str, np.ndarray]     # solved height profile per solved lane
-    traces: list                         # one trace per solved boundary pair
-    stops: list[str]                     # each solve's PairSolve.stop, as traces
+    boundaries: list[LaneSolve]          # one per input boundary, input order
+    pairs: list[PairStop]                # one per solved pair, left to right
+    lanes: list[Lane3D] = field(init=False)               # lifted lanes, input order
+    statuses: dict[str, str] = field(init=False)          # lane id -> status
+    clamped: dict[str, bool] = field(init=False)          # lane id -> clamped
+    z_by_lane: dict[str, np.ndarray] = field(init=False)  # lane id -> z, solved lanes
+    traces: list = field(init=False)                      # each pair's trace
+
+    def __post_init__(self):
+        self.lanes = [b.lane for b in self.boundaries if b.lane is not None]
+        self.statuses = {b.id: b.status for b in self.boundaries}
+        self.clamped = {b.id: b.clamped for b in self.boundaries}
+        self.z_by_lane = {b.id: b.z for b in self.boundaries if b.z is not None}
+        self.traces = [p.trace for p in self.pairs]
 
 
 def solve_frame(flat_lanes: list[Lane2D], h_cam: float,
@@ -237,44 +264,31 @@ def solve_frame(flat_lanes: list[Lane2D], h_cam: float,
     profiles. Boundaries left without any accepted pairing get status
     "no_pairing". Noisy height estimates can fold the lifted polyline
     (lifted y is flat y scaled by (h - z)/h); such lanes keep their solved
-    heights in z_by_lane but are reported as "folded" and omitted from the
-    output lanes rather than silently re-sorted.
+    heights in z but are reported as "folded" and get no lane rather than
+    being silently re-sorted.
     """
     order = sorted(range(len(flat_lanes)),
                    key=lambda k: float(np.mean(flat_lanes[k].points[:, 0])))
-    statuses = {lane.id: "no_pairing" for lane in flat_lanes}
-    clamped = {lane.id: False for lane in flat_lanes}
-    contributions: dict[str, list[np.ndarray]] = {lane.id: [] for lane in flat_lanes}
-    traces = []
-    stops = []
-
+    boundaries = [LaneSolve(id=lane.id) for lane in flat_lanes]
+    pairs = []
     for a_pos, b_pos in zip(order, order[1:]):
-        a, b = flat_lanes[a_pos], flat_lanes[b_pos]
         try:
-            res = solve_boundary_pair(a, b, h_cam, opts)
+            res = solve_boundary_pair(flat_lanes[a_pos], flat_lanes[b_pos], h_cam, opts)
         except (NoPairing, InvalidInput, DegeneratePair):
             continue
-        contributions[a.id].append(res.z_left)
-        contributions[b.id].append(res.z_right)
-        clamped[a.id] = clamped[a.id] or res.clamped_left
-        clamped[b.id] = clamped[b.id] or res.clamped_right
-        statuses[a.id] = statuses[b.id] = "ok"
-        traces.append(res.trace)
-        stops.append(res.stop)
+        for rec, z, clamped in ((boundaries[a_pos], res.z_left, res.clamped_left),
+                                (boundaries[b_pos], res.z_right, res.clamped_right)):
+            rec.z = z if rec.z is None else np.mean([rec.z, z], axis=0)
+            rec.clamped = rec.clamped or clamped
+            rec.status = "ok"
+        pairs.append(PairStop(stop=res.stop, trace=res.trace))
 
-    lanes = []
-    z_by_lane = {}
-    for lane in flat_lanes:
-        zs = contributions[lane.id]
-        if not zs:
+    for lane, rec in zip(flat_lanes, boundaries):
+        if rec.z is None:
             continue
-        z = np.mean(zs, axis=0)
-        z_by_lane[lane.id] = z
-        pts = lift_from_virtual_top_xy(lane.points, z, h_cam)
+        points = lift_from_virtual_top_xy(lane.points, rec.z, h_cam)
         try:
-            lanes.append(Lane3D(id=lane.id, points=pts, visibility=lane.visibility))
+            rec.lane = Lane3D(id=lane.id, points=points, visibility=lane.visibility)
         except InvariantViolation:
-            statuses[lane.id] = "folded"
-    return FrameSolve(lanes=lanes, statuses=statuses, clamped=clamped,
-                      z_by_lane=z_by_lane, traces=traces, stops=stops)
-
+            rec.status = "folded"
+    return FrameSolve(boundaries=boundaries, pairs=pairs)

@@ -26,6 +26,8 @@ from lane3d.model import (CameraPose, FlatFrame, Intrinsics, Lane2D, Lane3D, Sce
 from lane3d.reconstruct import LANE_STATUSES, STOP_REASONS, SolveOptions, solve_frame
 from lane3d.synth import GeneratorConfig
 
+from conftest import CLAMPING_PAIRING, clamping_flat_pair
+
 CONFIGS = "configs"
 
 
@@ -224,8 +226,8 @@ def test_reconstruct_prints_stop_histogram(tmp_path, capsys):
                if ln.startswith("solver stops: ")]
     counts = {reason: int(n) for reason, n in (item.split("=") for item in line.split()[2:])}
     assert list(counts) == ["no_descent", "step", "max_iters"] == list(STOP_REASONS)
-    solved = Counter(stop for frame in frames
-                     for stop in solve_frame(frame.lanes, frame.camera.height_m).stops)
+    solved = Counter(pair.stop for frame in frames
+                     for pair in solve_frame(frame.lanes, frame.camera.height_m).pairs)
     assert counts == {reason: solved[reason] for reason in STOP_REASONS}
     assert sum(counts.values()) > 0 and counts["no_descent"] > 0 and counts["step"] > 0
 
@@ -253,6 +255,22 @@ def test_reconstruct_prints_lane_status_counts(tmp_path, capsys):
                       if key.startswith("solver_status:"))
     assert counts == {status: written[status] for status in LANE_STATUSES}
     assert counts == {"ok": 7, "no_pairing": 1, "folded": 1}
+
+
+def test_reconstruct_writes_solver_clamped_only_on_clamped_lanes(tmp_path):
+    scenes, flat, rec = (tmp_path / f"{name}.jsonl" for name in ("scenes", "flat", "rec"))
+    config = tmp_path / "reconstruct.json"
+    config.write_text(json.dumps({"pairing": CLAMPING_PAIRING}))
+    run(["generate", "--count", 2, "--seed", 42, "--out", scenes])
+    run(["project", "--in", scenes, "--out", flat])
+    frames = read_flat_frames(flat)
+    frames.append(FlatFrame(frame_id="clamping", camera=frames[0].camera,
+                            lanes=clamping_flat_pair()))
+    write_flat_frames(frames, flat)
+    assert run(["reconstruct", "--in", flat, "--config", config, "--out", rec]) == 0
+    clamped = {(scene.frame_id, key, value) for scene in read_scenes(rec)
+               for key, value in scene.metadata.items() if key.startswith("solver_clamped:")}
+    assert clamped == {("clamping", f"solver_clamped:{lane_id}", "1") for lane_id in "lr"}
 
 
 @pytest.mark.parametrize("frame_id", ["../escaped", "nested/escaped", "nul\0escaped"])

@@ -15,7 +15,7 @@ from lane3d.reconstruct import (SolveOptions, _PairContext, closed_form_heights,
                                 solve_frame)
 from lane3d.synth import HillProfile, RoadSpec, generate_scene
 
-from conftest import H_CAM
+from conftest import CLAMPING_PAIRING, H_CAM, clamping_flat_pair
 
 HILL_SPEC = RoadSpec(height_profile=HillProfile(start_y=40.0, length=120.0, peak_z=0.89))
 # sampled every metre, the noise-free closed form admits no descent step
@@ -178,23 +178,37 @@ def test_one_rejected_pair_marks_only_its_lanes_no_pairing(case):
     res = solve_frame([left, mid, right], H_CAM)
     assert res.statuses == {"left": "no_pairing", "mid": "ok", "right": "ok"}
     assert [lane.id for lane in res.lanes] == ["mid", "right"]
-    assert len(res.stops) == 1
+    assert len(res.pairs) == 1
 
 
 def test_heights_clamped_below_camera(monkeypatch):
-    # widths exploding far beyond the near-range estimate imply z -> h_cam;
-    # the solver clamps at h_cam - 1e-6 and flags the lane
-    ys = np.arange(1.0, 12.0, 1.0)
-    widths = np.concatenate([np.full(3, 3.5), np.geomspace(1e10, 1e12, 8)])
-    right = Lane2D(id="r", points=np.column_stack([widths, ys]),
-                   visibility=np.ones(len(ys), dtype=int))
-    left = flat_lane("l", 0.0, ys)
+    left, right = clamping_flat_pair()
     monkeypatch.setattr(lane3d.reconstruct, "_MAX_ITERS", 5)
-    opts = SolveOptions(pairing=PairingConfig(window=2, width_jump_threshold=1e15))
+    opts = SolveOptions(pairing=PairingConfig(**CLAMPING_PAIRING))
     res = solve_boundary_pair(left, right, H_CAM, opts)
     assert res.clamped_right or res.clamped_left
     assert np.max(res.z_left) <= H_CAM - 1e-6 + 1e-15
     assert np.max(res.z_right) <= H_CAM - 1e-6 + 1e-15
+
+
+def test_pair_whose_objective_overflows_at_the_closed_form_is_rejected():
+    # straight boundaries 3.5 m apart: at 1e152 m scale the closed form is
+    # exact, at 1e154 m the squared widths overflow and J is not finite
+    ys = np.arange(3.0, 101.0)
+
+    def scaled(scale):
+        return [Lane2D(id=lane.id, points=lane.points * scale, visibility=lane.visibility)
+                for lane in (flat_lane("l", 0.0, ys), flat_lane("r", 3.5, ys))]
+
+    solved = solve_frame(scaled(1e152), H_CAM)
+    assert solved.statuses == {"l": "ok", "r": "ok"}
+    assert [pair.stop for pair in solved.pairs] == ["step"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InvalidInput, match="not finite"):
+            solve_boundary_pair(*scaled(1e154), H_CAM)
+        rejected = solve_frame(scaled(1e154), H_CAM)
+    assert rejected.statuses == {"l": "no_pairing", "r": "no_pairing"}
+    assert rejected.pairs == [] and rejected.lanes == []
 
 
 def test_three_boundaries_all_solved():
@@ -356,14 +370,31 @@ def test_step_rule_stops_noisy_pair_near_the_descent_without_it():
     assert np.max(np.abs(z - z_full)) < 5e-3
 
 
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_lane_records_do_not_depend_on_input_order(seed):
+    # noisy 5-boundary hill frames, some with folded lanes
+    spec = dataclasses.replace(DENSE_HILL_SPEC, num_boundaries=5)
+    rng = np.random.default_rng(seed)
+    lanes = project_scene(generate_scene(spec, seed=seed), noise_rng=rng)
+    shuffled = [lanes[k] for k in rng.permutation(len(lanes))]
+    assert shuffled != lanes
+    want = {rec.id: rec for rec in solve_frame(lanes, H_CAM).boundaries}
+    got = solve_frame(shuffled, H_CAM).boundaries
+    assert [rec.id for rec in got] == [lane.id for lane in shuffled]
+    for rec in got:
+        assert (rec.status, rec.clamped, rec.lane) == \
+            (want[rec.id].status, want[rec.id].clamped, want[rec.id].lane)
+        assert rec.z.tobytes() == want[rec.id].z.tobytes()
+
+
 def test_frame_lists_one_stop_per_solved_pair():
     spec = dataclasses.replace(DENSE_HILL_SPEC, num_boundaries=4)
     lanes = project_scene(generate_scene(spec, seed=8))
     noisy = project_scene(generate_scene(spec, seed=8), noise_rng=np.random.default_rng(66))
     lanes[0] = noisy[0]
     res = solve_frame(lanes, H_CAM)
-    assert res.stops == ["step", "no_descent", "no_descent"]
-    assert len(res.traces) == len(res.stops)
-    for k, (a, b) in enumerate(zip(lanes, lanes[1:])):
+    assert [entry.stop for entry in res.pairs] == ["step", "no_descent", "no_descent"]
+    assert res.traces == [entry.trace for entry in res.pairs]
+    for entry, a, b in zip(res.pairs, lanes, lanes[1:]):
         pair = solve_boundary_pair(a, b, H_CAM)
-        assert res.stops[k] == pair.stop and res.traces[k] == pair.trace
+        assert entry.stop == pair.stop and entry.trace == pair.trace
