@@ -16,9 +16,9 @@ from pathlib import Path
 from . import evaluate as ev
 from . import model, plot, synth
 from .augment import AugmentConfig, augment_scene
-from .errors import HeightExceedsCamera, InvalidInput, Lane3DError
+from .errors import InvalidInput, Lane3DError, located
 from .model import FlatFrame, Lane2D, Scene
-from .projection import project_virtual_top_xy
+from .projection import virtual_top_view
 from .reconstruct import LANE_STATUSES, STOP_REASONS, SolveOptions, solve_frame
 
 EXIT_OK = 0
@@ -70,10 +70,8 @@ def _map_frames(fn, frames, *more) -> list:
     """list(map(fn, frames, *more)); a Lane3DError names the frame it came from."""
     out = []
     for args in zip(frames, *more):
-        try:
+        with located("frame", args[0].frame_id):
             out.append(fn(*args))
-        except Lane3DError as e:
-            raise type(e)(f"frame {args[0].frame_id!r}: {e}") from e
     return out
 
 
@@ -89,13 +87,8 @@ def cmd_augment(args) -> int:
 
 
 def _project_scene(scene: Scene) -> FlatFrame:
-    lanes = []
-    for lane in scene.lanes:
-        try:
-            points = project_virtual_top_xy(lane.xy, lane.z, scene.camera.height_m)
-        except HeightExceedsCamera as e:
-            raise HeightExceedsCamera(f"lane {lane.id!r}: {e}") from e
-        lanes.append(Lane2D(id=lane.id, points=points, visibility=lane.visibility))
+    lanes = [Lane2D(id=lane.id, points=virtual_top_view(lane, scene.camera.height_m),
+                    visibility=lane.visibility) for lane in scene.lanes]
     return FlatFrame(frame_id=scene.frame_id, camera=scene.camera, lanes=lanes)
 
 
@@ -122,7 +115,7 @@ def cmd_reconstruct(args) -> int:
         return Scene(frame_id=frame.frame_id, camera=frame.camera,
                      lanes=result.lanes, metadata=meta)
 
-    scenes = [solve(frame) for frame in frames]
+    scenes = _map_frames(solve, frames)
     model.write_scenes(scenes, args.out)
     print("lane statuses: " + " ".join(f"{s}={statuses[s]}" for s in LANE_STATUSES),
           file=sys.stderr)

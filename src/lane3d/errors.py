@@ -28,3 +28,24 @@ class InvalidInput(Lane3DError):
 
 class NoPairing(Lane3DError):
     """Point-pair matching rejected a boundary pair: it carries no width signal."""
+
+
+class located:
+    """`with located("lane", lane_id):` raises a Lane3DError from its block
+    again as its own type, led by "lane 'a': ", each id quoted by repr so a
+    message stays on one line; a place alone ("path:3", "GT") leads as it is.
+    Nothing is formatted unless an error passes. A class, as a contextlib
+    generator costs twice as much to enter, and this wraps every lane read."""
+
+    __slots__ = ("place", "ids")
+
+    def __init__(self, place: str, *ids):
+        self.place, self.ids = place, ids
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, error, tb):
+        if isinstance(error, Lane3DError):
+            where = " ".join([self.place, *map(repr, self.ids)])
+            raise type(error)(f"{where}: {error}") from error

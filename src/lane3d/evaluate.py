@@ -29,7 +29,7 @@ from dataclasses import astuple, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .errors import HeightExceedsCamera, InvalidInput, InvariantViolation
+from .errors import InvalidInput, located
 from .model import (Config, Lane3D, Prediction, Scene, _coerce, _is_utf8, _numbers,
                     _same_json, read_json, write_json)
 from .projection import resample_flat
@@ -191,15 +191,12 @@ class _FrameTables:
 
 
 def _frame_tables(gt: list[Lane3D], pred: list[Lane3D], cfg: MatchConfig,
-                  h_cam: float, frame_id: str) -> _FrameTables:
+                  h_cam: float) -> _FrameTables:
     refs = np.asarray(cfg.eval_y_refs, dtype=float)
-    resampled = []
-    for kind, lanes in (("GT", gt), ("prediction", pred)):
-        try:
-            resampled.append([resample_flat(lane, h_cam, refs) for lane in lanes])
-        except (HeightExceedsCamera, InvariantViolation) as e:
-            raise type(e)(f"frame {frame_id!r}: {kind} {e}") from e
-    gt_rs, pred_rs = resampled
+    with located("GT"):
+        gt_rs = [resample_flat(lane, h_cam, refs) for lane in gt]
+    with located("prediction"):
+        pred_rs = [resample_flat(lane, h_cam, refs) for lane in pred]
 
     cost = np.full((len(gt), len(pred)), np.inf)
     admissible = np.zeros(cost.shape, dtype=bool)
@@ -250,7 +247,8 @@ def match_lanes(gt: list[Lane3D], pred: list[tuple[Lane3D, float]],
     caller's probability threshold; edge cost is the mean pointwise
     flat-ground/height distance over co-visible references.
     """
-    tables = _frame_tables(gt, [lane for lane, _ in pred], cfg, h_cam, frame_id)
+    with located("frame", frame_id):
+        tables = _frame_tables(gt, [lane for lane, _ in pred], cfg, h_cam)
     return _match_columns(tables, list(range(len(pred))), cfg, frame_id)
 
 
@@ -394,7 +392,7 @@ class EvalReport:
             ])
         for key, value in report.to_dict().items():
             if not _same_json(d[key], value):
-                raise InvalidInput(f"report key '{key}' does not match the value "
+                raise InvalidInput(f"report key {key!r} does not match the value "
                                    "its pr_curve and per_frame give")
         return report
 
@@ -444,8 +442,9 @@ def evaluate_frames(gt_scenes: list[Scene], predictions: list[Prediction],
         pred = pred_by_frame[scene.frame_id]
         candidates = [(lane, prob) for lane, prob in zip(pred.lanes, pred.probs)
                       if prob >= lowest]
-        tables = _frame_tables(scene.lanes, [lane for lane, _ in candidates], cfg,
-                               scene.camera.height_m, scene.frame_id)
+        with located("frame", scene.frame_id):
+            tables = _frame_tables(scene.lanes, [lane for lane, _ in candidates], cfg,
+                                   scene.camera.height_m)
         by_kept = {}
         for threshold, matchings in zip(cfg.prob_thresholds, per_threshold):
             cols = tuple(j for j, (_, prob) in enumerate(candidates) if prob >= threshold)

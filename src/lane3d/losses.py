@@ -48,8 +48,8 @@ def width_series(left: Lane3D, right: Lane3D, pairs: PairMap, h_cam: float) -> W
     HeightExceedsCamera when a matched point has z >= h_cam."""
     if {pairs.source_id, pairs.target_id} != {left.id, right.id}:
         raise InvalidInput(
-            f"pair map connects '{pairs.source_id}'->'{pairs.target_id}', "
-            f"got lanes '{left.id}' and '{right.id}'")
+            f"pair map connects {pairs.source_id!r}->{pairs.target_id!r}, "
+            f"got lanes {left.id!r} and {right.id!r}")
     i, j = pairs.indices(left.id)
     a, b = left.points[i], right.points[j]
     flat = (project_virtual_top_xy(a[:, :2], a[:, 2], h_cam)

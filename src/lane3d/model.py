@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 import numpy as np
 import orjson
 
-from .errors import InvalidInput, InvariantViolation, Lane3DError, ParseError
+from .errors import InvalidInput, InvariantViolation, ParseError, located
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -124,31 +124,6 @@ class CameraPose:
         _require(math.isfinite(self.pitch_rad), "pitch must be finite")
 
 
-def _as_points(arr, ncols: int, lane_id: str) -> np.ndarray:
-    pts = np.asarray(arr, dtype=float)
-    if pts.size == 0:
-        pts = pts.reshape(0, ncols)
-    _require(pts.ndim == 2 and pts.shape[1] == ncols,
-             f"lane '{lane_id}': points must be (N, {ncols})")
-    _require(bool(np.isfinite(pts).all()), f"lane '{lane_id}': points must be finite")
-    return pts
-
-
-def _as_visibility(arr, n: int, lane_id: str) -> np.ndarray:
-    vis = np.asarray(arr)
-    _require(vis.shape == (n,),
-             f"lane '{lane_id}': visibility length {vis.size} != point count {n}")
-    # check before casting so fractional flags fail instead of truncating
-    _require(bool(((vis == 0) | (vis == 1)).all()),
-             f"lane '{lane_id}': visibility flags must be 0 or 1")
-    return vis.astype(np.uint8, copy=False)
-
-
-def _check_monotone_y(y: np.ndarray, lane_id: str) -> None:
-    _require(bool((y[1:] > y[:-1]).all()),
-             f"lane '{lane_id}': points must be strictly increasing in y")
-
-
 @dataclass(eq=False, slots=True)
 class _Lane:
     """An ordered boundary polyline with visibility flags; subclasses fix the
@@ -161,10 +136,21 @@ class _Lane:
 
     def __post_init__(self):
         _require(bool(self.id), "lane id must be nonempty")
-        self.points = _as_points(self.points, self._dim, self.id)
-        _require(len(self.points) >= 1, f"lane '{self.id}': needs at least one point")
-        _check_monotone_y(self.points[:, 1], self.id)
-        self.visibility = _as_visibility(self.visibility, len(self.points), self.id)
+        dim, pts = self._dim, np.asarray(self.points, dtype=float)
+        with located("lane", self.id):
+            if pts.size == 0:
+                pts = pts.reshape(0, dim)
+            _require(pts.ndim == 2 and pts.shape[1] == dim, f"points must be (N, {dim})")
+            _require(bool(np.isfinite(pts).all()), "points must be finite")
+            _require(len(pts) >= 1, "needs at least one point")
+            _require(bool((pts[1:, 1] > pts[:-1, 1]).all()),
+                     "points must be strictly increasing in y")
+            vis = np.asarray(self.visibility)
+            _require(vis.shape == (len(pts),),
+                     f"visibility length {vis.size} != point count {len(pts)}")
+            # check before casting so fractional flags fail instead of truncating
+            _require(bool(((vis == 0) | (vis == 1)).all()), "visibility flags must be 0 or 1")
+        self.points, self.visibility = pts, vis.astype(np.uint8, copy=False)
         self.points.setflags(write=False)
         self.visibility.setflags(write=False)
 
@@ -217,8 +203,8 @@ class PairMap:
         """The matched indices on lane_id and on the other boundary, as int
         arrays in key order; lane_id is the source or the target."""
         if lane_id not in (self.source_id, self.target_id):
-            raise InvalidInput(f"pair map connects '{self.source_id}'->'{self.target_id}', "
-                               f"not '{lane_id}'")
+            raise InvalidInput(f"pair map connects {self.source_id!r}->{self.target_id!r}, "
+                               f"not {lane_id!r}")
         keys, values = np.array(sorted(self.pairs.items()), dtype=int).reshape(-1, 2).T.copy()
         return (keys, values) if lane_id == self.source_id else (values, keys)
 
@@ -276,17 +262,17 @@ def _lane_from_dict(cls, d: dict) -> _Lane:
     see their shape, so the row shape is checked here first. Both would read
     a string or a boolean as a number, so the value types are checked too."""
     lane_id, rows, vis, dim = d["id"], d["points"], d["visibility"], cls._dim
-    try:
-        _require(set(map(type, rows)) <= {list} and set(map(len, rows)) <= {dim},
-                 f"lane '{lane_id}': points must be (N, {dim})")
-        values = list(itertools.chain.from_iterable(rows))
-        _require(set(map(type, values)) <= _NUMBER_TYPES,
-                 f"lane '{lane_id}': points must be finite numbers")
-        points = np.fromiter(values, float, len(values))
-    except (TypeError, OverflowError) as e:
-        raise InvariantViolation(f"lane '{lane_id}': points must be finite numbers") from e
-    _require(not isinstance(vis, list) or set(map(type, vis)) <= _NUMBER_TYPES,
-             f"lane '{lane_id}': visibility flags must be 0 or 1")
+    with located("lane", lane_id):
+        try:
+            _require(set(map(type, rows)) <= {list} and set(map(len, rows)) <= {dim},
+                     f"points must be (N, {dim})")
+            values = list(itertools.chain.from_iterable(rows))
+            _require(set(map(type, values)) <= _NUMBER_TYPES, "points must be finite numbers")
+            points = np.fromiter(values, float, len(values))
+        except (TypeError, OverflowError) as e:
+            raise InvariantViolation("points must be finite numbers") from e
+        _require(not isinstance(vis, list) or set(map(type, vis)) <= _NUMBER_TYPES,
+                 "visibility flags must be 0 or 1")
     return cls(id=lane_id, points=points.reshape(-1, dim), visibility=vis)
 
 
@@ -304,11 +290,11 @@ class _Frame:
 
     def __post_init__(self):
         _require(bool(self.frame_id), "frame_id must be nonempty")
-        _require(all(map(_is_utf8, self._strings())),
-                 f"frame {self.frame_id!r}: ids and metadata must be UTF-8 strings")
         ids = [lane.id for lane in self.lanes]
-        _require(len(set(ids)) == len(ids),
-                 f"frame '{self.frame_id}': lane ids must be unique")
+        with located("frame", self.frame_id):
+            _require(all(map(_is_utf8, self._strings())),
+                     "ids and metadata must be UTF-8 strings")
+            _require(len(set(ids)) == len(ids), "lane ids must be unique")
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and all(
@@ -371,10 +357,9 @@ class Prediction(_Frame):
     # zero-argument super() reads does not see
     def __post_init__(self):
         _Frame.__post_init__(self)
-        _require(len(self.probs) == len(self.lanes),
-                 f"prediction '{self.frame_id}': one prob per lane required")
-        _require(all(0.0 <= p <= 1.0 for p in self.probs),
-                 f"prediction '{self.frame_id}': probs must be within [0, 1]")
+        with located("prediction", self.frame_id):
+            _require(len(self.probs) == len(self.lanes), "one prob per lane required")
+            _require(all(0.0 <= p <= 1.0 for p in self.probs), "probs must be within [0, 1]")
 
     def _doc(self, array) -> dict:
         doc = _Frame._doc(self, array)
@@ -408,23 +393,22 @@ def _parse_json(where: str, text: str, parse):
     """parse(the JSON value in text), with one error rule for every reader:
     text orjson rejects, or a KeyError, TypeError, ValueError or
     RecursionError from parse, becomes a ParseError, and every Lane3DError
-    starts with where (the path, plus the line in JSONL). orjson is the one
+    is located at where (the path, plus the line in JSONL). orjson is the one
     parser. It reads every number as the double float() gives, so output
     bytes do not depend on it, and an integer literal beyond 64 bits as the
     nearest double. It rejects NaN, Infinity, numbers beyond the double
     range, lone surrogates and text that is not JSON, with a reason that
     names the column. A RecursionError is a deeply nested value that a
     message tried to show."""
-    try:
-        raw = _loads(text)
-    except orjson.JSONDecodeError as e:
-        raise ParseError(f"{where}: invalid JSON: {e}") from e
-    try:
-        return parse(raw)
-    except Lane3DError as e:
-        raise type(e)(f"{where}: {e}") from e
-    except (KeyError, TypeError, ValueError, RecursionError) as e:
-        raise ParseError(f"{where}: malformed record: {e!r}") from e
+    with located(where):
+        try:
+            raw = _loads(text)
+        except orjson.JSONDecodeError as e:
+            raise ParseError(f"invalid JSON: {e}") from e
+        try:
+            return parse(raw)
+        except (KeyError, TypeError, ValueError, RecursionError) as e:
+            raise ParseError(f"malformed record: {e!r}") from e
 
 
 def read_json(path, parse):
@@ -458,7 +442,7 @@ def _read_jsonl(path, from_dict):
             if line:
                 rec = _parse_json(f"{path}:{lineno}", line, from_dict)
                 if rec.frame_id in out:
-                    raise ParseError(f"{path}:{lineno}: duplicate frame id '{rec.frame_id}'")
+                    raise ParseError(f"{path}:{lineno}: duplicate frame id {rec.frame_id!r}")
                 out[rec.frame_id] = rec
     return list(out.values())
 

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import HeightExceedsCamera, InvariantViolation
+from .errors import HeightExceedsCamera, InvariantViolation, located
 from .model import CameraPose, Lane3D
 
 
@@ -36,21 +36,25 @@ def project_virtual_top_xy(xy: np.ndarray, z: np.ndarray, h_cam: float) -> np.nd
     return np.asarray(xy, dtype=float) * (h_cam / (h_cam - z))[:, None]
 
 
+def virtual_top_view(lane: Lane3D, h_cam: float) -> np.ndarray:
+    """The lane's (N, 2) flat-ground points. Raises, naming the lane,
+    HeightExceedsCamera when a point reaches the camera height and
+    InvariantViolation when the projection folds the lane (flat y not increasing)."""
+    with located("lane", lane.id):
+        flat = project_virtual_top_xy(lane.xy, lane.z, h_cam)
+        if not np.all(np.diff(flat[:, 1]) > 0):
+            raise InvariantViolation("flat-ground y not strictly increasing; "
+                                     "the virtual projection folds this lane")
+    return flat
+
+
 def resample_flat(lane: Lane3D, h_cam: float, y_refs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Resample a lane at flat-ground y references: returns (x_flat, z, vis),
     linear in flat y, with the visibility interpolated and thresholded at 0.5
-    and False outside the lane's flat span. Raises InvariantViolation when
-    the virtual projection folds the lane (flat y not strictly increasing)."""
+    and False outside the lane's flat span. Raises as virtual_top_view does."""
     refs = np.asarray(y_refs, dtype=float)
-    try:
-        flat = project_virtual_top_xy(lane.xy, lane.z, h_cam)
-    except HeightExceedsCamera as e:
-        raise HeightExceedsCamera(f"lane {lane.id!r}: {e}") from e
+    flat = virtual_top_view(lane, h_cam)
     fy = flat[:, 1]
-    if not np.all(np.diff(fy) > 0):
-        raise InvariantViolation(
-            f"lane {lane.id!r}: flat-ground y not strictly increasing; "
-            "the virtual projection folds this lane")
     x = np.interp(refs, fy, flat[:, 0])
     z = np.interp(refs, fy, lane.z)
     v = np.interp(refs, fy, lane.visibility.astype(float))

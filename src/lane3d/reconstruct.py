@@ -140,7 +140,6 @@ def _fill_unmatched(n: int, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
 class PairSolve:
     z_left: np.ndarray
     z_right: np.ndarray
-    c_hat: float
     iters: int
     stop: str            # one of STOP_REASONS
     clamped_left: bool
@@ -154,7 +153,7 @@ def prepare_pair(left: Lane2D, right: Lane2D, h_cam: float,
     initial heights; raises NoPairing when the matcher rejects the pair."""
     pm = match_point_pairs(left, right, opts.pairing)
     if pm is None:
-        raise NoPairing(f"width jump rejected pairing of '{left.id}' and '{right.id}'")
+        raise NoPairing(f"width jump rejected pairing of {left.id!r} and {right.id!r}")
 
     i_idx, j_idx = pm.indices(left.id)
     a = left.points[i_idx]
@@ -180,7 +179,7 @@ def solve_boundary_pair(left: Lane2D, right: Lane2D, h_cam: float,
 
     value, grad = pair_objective(z, ctx)
     if not np.isfinite(value):
-        raise InvalidInput(f"objective of '{left.id}' and '{right.id}' is not finite")
+        raise InvalidInput(f"objective of {left.id!r} and {right.id!r} is not finite")
     step = _STEP
     trace = [(0, value, step)]
     stop = "max_iters"
@@ -217,7 +216,7 @@ def solve_boundary_pair(left: Lane2D, right: Lane2D, h_cam: float,
     clamped_left = bool(np.any(zl > limit))
     clamped_right = bool(np.any(zr > limit))
     return PairSolve(z_left=np.minimum(zl, limit), z_right=np.minimum(zr, limit),
-                     c_hat=ctx.c_hat, iters=len(trace) - 1, stop=stop,
+                     iters=len(trace) - 1, stop=stop,
                      clamped_left=clamped_left, clamped_right=clamped_right, trace=trace)
 
 

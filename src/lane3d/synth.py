@@ -1,7 +1,7 @@
 """Synthetic road scenes.
 
 Roads are parametric: a polynomial centerline x(y), a height profile z(y)
-(polynomial or a raised-cosine hill), and boundaries laid out as true
+(flat or a raised-cosine hill), and boundaries laid out as true
 parallel offsets of the centerline along the curve normal. Matched boundary
 points share the same parameter y and the same height, so the pairwise 3D
 width equals the configured lane width exactly by construction: the
@@ -50,7 +50,7 @@ class RoadSpec:
     """Parametric road: centerline x(y), height profile, boundary layout."""
 
     centerline_x_coeffs: tuple = (0.0,)          # x(y) = c0 + c1 y + c2 y^2 + ...
-    height_profile: object = (0.0,)              # poly z(y) coeffs or HillProfile
+    height_profile: HillProfile | None = None    # None: a flat road
     lane_width: float = 3.5
     num_boundaries: int = 2
     y_start: float = 3.0
@@ -85,10 +85,9 @@ class RoadSpec:
         return np.polynomial.polynomial.polyval(np.asarray(y, dtype=float), deriv)
 
     def z_at(self, y) -> np.ndarray:
-        if isinstance(self.height_profile, HillProfile):
-            return self.height_profile.z_at(y)
-        return np.polynomial.polynomial.polyval(np.asarray(y, dtype=float),
-                                                self.height_profile)
+        if self.height_profile is None:
+            return np.zeros(np.shape(y))
+        return self.height_profile.z_at(y)
 
 
 def boundary_offsets(spec: RoadSpec) -> np.ndarray:

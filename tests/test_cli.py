@@ -107,7 +107,7 @@ def test_augment_deterministic(tmp_path):
     ("augment", [[50.0, 5.0, 0.0], [-50.0, 5.01, 0.0]],
      "points must be strictly increasing in y"),
     ("project", [[1.75, 10.0, 1.5], [1.75, 20.0, 0.0]],
-     "points must be strictly increasing in y"),
+     "flat-ground y not strictly increasing; the virtual projection folds this lane"),
     ("project", [[1.75, 10.0, 0.0], [1.75, 20.0, 1.78]],
      "point height z >= camera height 1.78: no virtual top view"),
 ], ids=["augment-yawed-lateral-lane", "project-folding-lane", "project-lane-at-camera-height"])
@@ -512,9 +512,9 @@ def test_evaluate_prediction_with_duplicate_lane_ids_exit_2(tmp_path, capsys):
 # 'right' folds in the virtual top view; every other lane resamples
 @pytest.mark.parametrize("bad_file, points, message", [
     ("gt", [[1.75, 10.0, 0.0], [1.75, 20.0, 1.78]],
-     "GT lane 'right': point height z >= camera height 1.78: no virtual top view"),
+     "GT: lane 'right': point height z >= camera height 1.78: no virtual top view"),
     ("pred", [[1.75, 10.0, 1.5], [1.75, 20.0, 0.0]],
-     "prediction lane 'right': flat-ground y not strictly increasing; "
+     "prediction: lane 'right': flat-ground y not strictly increasing; "
      "the virtual projection folds this lane"),
 ], ids=["gt-lane-at-camera-height", "prediction-lane-that-folds"])
 def test_evaluate_names_the_frame_and_lane_it_cannot_resample(tmp_path, capsys, simple_scene,
@@ -530,6 +530,61 @@ def test_evaluate_names_the_frame_and_lane_it_cannot_resample(tmp_path, capsys, 
     assert run(["evaluate", paths["gt"], paths["pred"], "--out", report]) == 2
     assert capsys.readouterr().err == f"lane3d: frame 'frame_1': {message}\n"
     assert not report.exists()
+
+
+# repr shows a'b in double quotes and escapes the backslash, newline and tab,
+# where a hand-quoted '{id}' does not; a"b and 漢 it shows as '{id}' does
+TRICKY_IDS = {"quote": "a'b", "double-quote": 'a"b', "backslash": "a\\b",
+              "newline": "a\nb", "tab": "a\tb", "cjk": "漢"}
+
+
+@pytest.mark.parametrize("role", ["lane", "frame"])
+@pytest.mark.parametrize("stage", ["scene-reader", "flat-reader", "project", "evaluate"])
+@pytest.mark.parametrize("tricky", TRICKY_IDS.values(), ids=TRICKY_IDS.keys())
+def test_an_error_quotes_each_id_by_repr_on_one_line(tmp_path, capsys, simple_scene,
+                                                      tricky, stage, role):
+    """The id plays the lane's or the frame's part in a record that fails
+    where it is read, projected or evaluated; stderr is one line whatever
+    the id holds."""
+    frame_id, lane_id = (tricky, "right") if role == "frame" else ("frame_1", tricky)
+    doc = dataclasses.replace(simple_scene, frame_id=frame_id).to_dict()
+    bad = doc["lanes"][1]
+    bad["id"] = lane_id
+    src = tmp_path / "in.jsonl"
+    lines = [doc]
+    at_camera = "point height z >= camera height 1.78: no virtual top view"
+    if stage == "scene-reader":
+        args = ["project", "--in", src, "--out", tmp_path / "flat.jsonl"]
+        if role == "lane":
+            bad["points"].reverse()
+            message = f"{src}:1: lane {lane_id!r}: points must be strictly increasing in y"
+        else:
+            doc["lanes"][0]["id"] = lane_id
+            message = f"{src}:1: frame {frame_id!r}: lane ids must be unique"
+    elif stage == "flat-reader":
+        args = ["reconstruct", "--in", src, "--out", tmp_path / "rec.jsonl"]
+        for lane in doc["lanes"]:
+            lane["points"] = [point[:2] for point in lane["points"]]
+        if role == "lane":
+            bad["points"][0][0] = "1.75"
+            message = f"{src}:1: lane {lane_id!r}: points must be finite numbers"
+        else:
+            lines = [doc, doc]
+            message = f"{src}:2: duplicate frame id {frame_id!r}"
+    else:
+        bad["points"], bad["visibility"] = [[1.75, 10.0, 0.0], [1.75, 20.0, 1.78]], [1, 1]
+        if stage == "project":
+            args = ["project", "--in", src, "--out", tmp_path / "flat.jsonl"]
+            message = f"frame {frame_id!r}: lane {lane_id!r}: {at_camera}"
+        else:
+            pred = tmp_path / "pred.jsonl"
+            write_scenes([dataclasses.replace(simple_scene, frame_id=frame_id)], pred)
+            args = ["evaluate", src, pred, "--out", tmp_path / "report.json"]
+            message = f"frame {frame_id!r}: GT: lane {lane_id!r}: {at_camera}"
+    src.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"lane3d: {message}\n" and err.count("\n") == 1
 
 
 def test_duplicate_frame_id_in_one_file_exit_2(tmp_path, capsys):
