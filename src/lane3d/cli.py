@@ -1,8 +1,9 @@
 """Batch command-line surface: generate | augment | project | reconstruct |
 evaluate | plot.
 
-Every command is deterministic given its flags and seed. Data goes to files,
-diagnostics to stderr. Exit codes: 0 ok, 1 usage, 2 data error, 3 I/O.
+Every command is deterministic given its flags and seed, and imports only
+the stage modules it runs. Data goes to files, diagnostics to stderr. Exit
+codes: 0 ok, 1 usage, 2 data error, 3 I/O.
 """
 
 from __future__ import annotations
@@ -13,13 +14,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from . import evaluate as ev
-from . import model, plot, synth
-from .augment import AugmentConfig, augment_scene
+from . import model
 from .errors import InvalidInput, Lane3DError, located
-from .model import FlatFrame, Lane2D, Scene
-from .projection import virtual_top_view
-from .reconstruct import LANE_STATUSES, STOP_REASONS, SolveOptions, solve_frame
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,6 +54,7 @@ def _frame_file(directory: Path, frame_id: str, suffix: str) -> Path:
 
 
 def cmd_generate(args) -> int:
+    from . import synth
     cfg = model.read_json(args.config, synth.GeneratorConfig.from_dict) if args.config \
         else synth.GeneratorConfig()
     scenes = synth.generate_scenes(cfg, args.count, args.seed)
@@ -76,6 +73,7 @@ def _map_frames(fn, frames, *more) -> list:
 
 
 def cmd_augment(args) -> int:
+    from .augment import AugmentConfig, augment_scene
     cfg = model.read_json(args.config, AugmentConfig.from_dict) if args.config \
         else AugmentConfig()
     scenes = model.read_scenes(args.in_path)
@@ -86,34 +84,36 @@ def cmd_augment(args) -> int:
     return EXIT_OK
 
 
-def _project_scene(scene: Scene) -> FlatFrame:
-    lanes = [Lane2D(id=lane.id, points=virtual_top_view(lane, scene.camera.height_m),
-                    visibility=lane.visibility) for lane in scene.lanes]
-    return FlatFrame(frame_id=scene.frame_id, camera=scene.camera, lanes=lanes)
-
-
 def cmd_project(args) -> int:
+    from .projection import virtual_top_view
+
+    def project(scene: model.Scene) -> model.FlatFrame:
+        lanes = [model.Lane2D(id=lane.id, points=virtual_top_view(lane, scene.camera.height_m),
+                              visibility=lane.visibility) for lane in scene.lanes]
+        return model.FlatFrame(frame_id=scene.frame_id, camera=scene.camera, lanes=lanes)
+
     scenes = model.read_scenes(args.in_path)
-    frames = _map_frames(_project_scene, scenes)
+    frames = _map_frames(project, scenes)
     model.write_flat_frames(frames, args.out)
     print(f"projected {len(frames)} frames to {args.out}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_reconstruct(args) -> int:
+    from .reconstruct import LANE_STATUSES, STOP_REASONS, SolveOptions, solve_frame
     opts = model.read_json(args.config, SolveOptions.from_dict) if args.config \
         else SolveOptions()
     frames = model.read_flat_frames(args.in_path)
     stops, statuses = Counter(), Counter()
 
-    def solve(frame: FlatFrame) -> Scene:
+    def solve(frame: model.FlatFrame) -> model.Scene:
         result = solve_frame(frame.lanes, frame.camera.height_m, opts)
         stops.update(pair.stop for pair in result.pairs)
         statuses.update(b.status for b in result.boundaries)
         meta = {f"solver_status:{b.id}": b.status for b in result.boundaries}
         meta.update((f"solver_clamped:{b.id}", "1") for b in result.boundaries if b.clamped)
-        return Scene(frame_id=frame.frame_id, camera=frame.camera,
-                     lanes=result.lanes, metadata=meta)
+        return model.Scene(frame_id=frame.frame_id, camera=frame.camera,
+                           lanes=result.lanes, metadata=meta)
 
     scenes = _map_frames(solve, frames)
     model.write_scenes(scenes, args.out)
@@ -126,6 +126,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import evaluate as ev
     cfg = model.read_json(args.config, ev.MatchConfig.from_dict) if args.config \
         else ev.MatchConfig()
     gt = model.read_scenes(args.gt)
@@ -169,9 +170,15 @@ def _looks_like_report(path) -> bool:
 def cmd_plot(args) -> int:
     """Every input is read and every figure path checked before --out is
     made, so a plot that exits 2 leaves nothing behind."""
+    from . import plot
     out_dir = Path(args.out)
     if _looks_like_report(args.in_path):
-        report = ev.read_report(args.in_path)
+        if args.pred:
+            print("lane3d plot: error: --pred overlays scene figures, not a report",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        from .evaluate import read_report
+        report = read_report(args.in_path)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "report.svg"
         plot.write_svg(plot.render_report_svg(report), path)

@@ -5,11 +5,14 @@ figure is built as SVG text, the bytes ElementTree would write for it."""
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .evaluate import EvalReport
 from .model import Lane3D, Scene
+
+if TYPE_CHECKING:   # a scene plot does not load evaluate
+    from .evaluate import EvalReport
 
 GT_COLOR = "#1f4fd8"    # blue
 PRED_COLOR = "#d82f2f"  # red

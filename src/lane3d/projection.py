@@ -39,9 +39,13 @@ def project_virtual_top_xy(xy: np.ndarray, z: np.ndarray, h_cam: float) -> np.nd
 def virtual_top_view(lane: Lane3D, h_cam: float) -> np.ndarray:
     """The lane's (N, 2) flat-ground points. Raises, naming the lane,
     HeightExceedsCamera when a point reaches the camera height and
-    InvariantViolation when the projection folds the lane (flat y not increasing)."""
+    InvariantViolation when the projection overflows or folds the lane (flat
+    y not increasing)."""
     with located("lane", lane.id):
-        flat = project_virtual_top_xy(lane.xy, lane.z, h_cam)
+        with np.errstate(over="ignore"):
+            flat = project_virtual_top_xy(lane.xy, lane.z, h_cam)
+        if not np.isfinite(flat).all():
+            raise InvariantViolation("flat-ground projection overflows")
         if not np.all(np.diff(flat[:, 1]) > 0):
             raise InvariantViolation("flat-ground y not strictly increasing; "
                                      "the virtual projection folds this lane")

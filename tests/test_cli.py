@@ -35,6 +35,15 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def run_child(args):
+    """Run a fresh interpreter on args; it imports the package under test,
+    installed or not."""
+    src = str(Path(lane3d.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def test_generate_zero_count(tmp_path):
     out = tmp_path / "scenes.jsonl"
     assert run(["generate", "--count", 0, "--out", out]) == 0
@@ -102,7 +111,14 @@ def test_augment_deterministic(tmp_path):
 
 
 # frame_1's lane 'right' holds these points; every generated frame has a
-# lane_0, so the lane alone does not say which frame failed
+# lane_0, so the lane alone does not say which frame failed. Past the float
+# range at every point, the fold test read NaN as a fold; at the last point
+# alone, it passed.
+EVERY_POINT_OVERFLOWS = [[0.0, 1e308, 1.0], [0.0, 1.5e308, 1.0]]
+LAST_POINT_OVERFLOWS = [[1.75, 10.0, 0.0], [1.75, 1e308, 1.0]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, points, message", [
     ("augment", [[50.0, 5.0, 0.0], [-50.0, 5.01, 0.0]],
      "points must be strictly increasing in y"),
@@ -110,7 +126,10 @@ def test_augment_deterministic(tmp_path):
      "flat-ground y not strictly increasing; the virtual projection folds this lane"),
     ("project", [[1.75, 10.0, 0.0], [1.75, 20.0, 1.78]],
      "point height z >= camera height 1.78: no virtual top view"),
-], ids=["augment-yawed-lateral-lane", "project-folding-lane", "project-lane-at-camera-height"])
+    ("project", EVERY_POINT_OVERFLOWS, "flat-ground projection overflows"),
+    ("project", LAST_POINT_OVERFLOWS, "flat-ground projection overflows"),
+], ids=["augment-yawed-lateral-lane", "project-folding-lane", "project-lane-at-camera-height",
+        "project-overflowing-lane", "project-lane-overflowing-at-its-last-point"])
 def test_augment_and_project_name_the_frame_whose_lane_fails(tmp_path, capsys, simple_scene,
                                                             command, points, message):
     src = tmp_path / "src.jsonl"
@@ -432,10 +451,7 @@ def test_evaluate_runs_without_scipy(tmp_path):
     code = ("import sys; sys.modules['scipy'] = None; from lane3d.cli import main; "
             f"sys.exit(main(['evaluate', {str(aug)!r}, {str(rec)!r}, "
             f"'--out', {str(child)!r}]))")
-    src = str(Path(lane3d.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    proc = run_child(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert child.read_bytes() == report.read_bytes()
     assert json.loads(report.read_text())["matched_pairs"]
@@ -508,15 +524,21 @@ def test_evaluate_prediction_with_duplicate_lane_ids_exit_2(tmp_path, capsys):
         in capsys.readouterr().err
 
 
-# frame_1's GT lane 'right' reaches the camera height, or its prediction lane
-# 'right' folds in the virtual top view; every other lane resamples
+# frame_1's GT lane 'right' reaches the camera height or overflows, or its
+# prediction lane 'right' folds in the virtual top view or overflows; every
+# other lane resamples
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad_file, points, message", [
     ("gt", [[1.75, 10.0, 0.0], [1.75, 20.0, 1.78]],
      "GT: lane 'right': point height z >= camera height 1.78: no virtual top view"),
     ("pred", [[1.75, 10.0, 1.5], [1.75, 20.0, 0.0]],
      "prediction: lane 'right': flat-ground y not strictly increasing; "
      "the virtual projection folds this lane"),
-], ids=["gt-lane-at-camera-height", "prediction-lane-that-folds"])
+    ("gt", EVERY_POINT_OVERFLOWS, "GT: lane 'right': flat-ground projection overflows"),
+    ("pred", LAST_POINT_OVERFLOWS,
+     "prediction: lane 'right': flat-ground projection overflows"),
+], ids=["gt-lane-at-camera-height", "prediction-lane-that-folds", "gt-overflowing-lane",
+        "prediction-lane-overflowing-at-its-last-point"])
 def test_evaluate_names_the_frame_and_lane_it_cannot_resample(tmp_path, capsys, simple_scene,
                                                               bad_file, points, message):
     lane = Lane3D(id="right", points=points, visibility=[1, 1])
@@ -788,6 +810,24 @@ def test_plot_parses_a_report_once(tmp_path, monkeypatch):
     assert texts.count(report.read_text()) == 1
 
 
+def test_plot_of_a_report_with_pred_exit_1(tmp_path, capsys):
+    """--pred overlays scene figures only: given a report, it is a usage
+    error, found before the report or the overlay is read."""
+    scenes, report = tmp_path / "scenes.jsonl", tmp_path / "report.json"
+    run(["generate", "--count", 2, "--seed", 11, "--out", scenes])
+    run(["evaluate", scenes, scenes, "--out", report])
+    unreadable = tmp_path / "unreadable.json"
+    unreadable.write_text(json.dumps({"per_frame": []}))
+    figs = tmp_path / "figs"
+    for path in [report, unreadable]:
+        for pred in [scenes, tmp_path / "absent.jsonl"]:
+            capsys.readouterr()
+            assert run(["plot", "--in", path, "--pred", pred, "--out", figs]) == 1
+            assert capsys.readouterr().err == \
+                "lane3d plot: error: --pred overlays scene figures, not a report\n"
+            assert not figs.exists()
+
+
 def test_plot_of_a_config_or_two_reports_exit_2_naming_it(tmp_path, capsys):
     """An indented object without per_frame, such as a config, and a report
     line followed by another both read as a report, whose reader says why
@@ -932,6 +972,47 @@ def test_value_the_writer_cannot_write_exit_2_naming_it(tmp_path, capsys, simple
     assert message in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def stage_files(tmp_path_factory):
+    """The files of a two-frame README pipeline, by the name a command
+    argument holds in their place."""
+    d = tmp_path_factory.mktemp("stages")
+    files = {name: d / name for name in ("SCENES", "AUG", "FLAT", "REC", "REPORT")}
+    assert run(["generate", "--count", 2, "--seed", 4, "--out", files["SCENES"]]) == 0
+    assert run(["augment", "--in", files["SCENES"], "--config",
+                Path(CONFIGS) / "augment_yaw_only.json", "--out", files["AUG"]]) == 0
+    assert run(["project", "--in", files["AUG"], "--out", files["FLAT"]]) == 0
+    assert run(["reconstruct", "--in", files["FLAT"], "--out", files["REC"]]) == 0
+    assert run(["evaluate", files["AUG"], files["REC"], "--out", files["REPORT"]]) == 0
+    return files
+
+
+# the lane3d modules a command loads beyond lane3d, cli, errors and model:
+# the stages it runs and what they import, no more
+@pytest.mark.parametrize("command, stages", [
+    ([], []),
+    (["generate", "--count", 2, "--out", "OUT"], ["projection", "synth"]),
+    (["augment", "--in", "SCENES", "--out", "OUT"], ["augment", "projection"]),
+    (["project", "--in", "AUG", "--out", "OUT"], ["projection"]),
+    (["reconstruct", "--in", "FLAT", "--out", "OUT"],
+     ["losses", "pairing", "projection", "reconstruct"]),
+    (["evaluate", "AUG", "REC", "--out", "OUT"], ["evaluate", "projection"]),
+    (["plot", "--in", "SCENES", "--pred", "REC", "--out", "OUT"], ["plot"]),
+    (["plot", "--in", "REPORT", "--out", "OUT"], ["evaluate", "plot", "projection"]),
+], ids=["import", "generate", "augment", "project", "reconstruct", "evaluate",
+        "plot-scenes", "plot-report"])
+def test_each_command_loads_only_the_stages_it_runs(tmp_path, stage_files, command, stages):
+    code = ("import sys, lane3d.cli; "
+            "code = lane3d.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'lane3d')); "
+            "sys.exit(code)")
+    paths = {**stage_files, "OUT": tmp_path / "out"}
+    proc = run_child(["-c", code, *(paths.get(arg, arg) for arg in command)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["lane3d", *sorted(
+        f"lane3d.{name}" for name in ["cli", "errors", "model", *stages])]
+
+
 def test_missing_input_exit_3(tmp_path):
     assert run(["project", "--in", tmp_path / "absent.jsonl",
                 "--out", tmp_path / "o.jsonl"]) == 3
@@ -939,12 +1020,6 @@ def test_missing_input_exit_3(tmp_path):
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "scenes.jsonl"
-    # the child imports the package under test, installed or not
-    src = str(Path(lane3d.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "lane3d.cli",
-                           "generate", "--count", "1", "--out", str(out)],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    proc = run_child(["-m", "lane3d.cli", "generate", "--count", 1, "--out", out])
     assert proc.returncode == 0
     assert out.exists()
