@@ -26,6 +26,7 @@ import csv
 import itertools
 import math
 from dataclasses import astuple, dataclass, field, fields, is_dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,21 +46,17 @@ NEAR_FAR_SPLIT = 40.0   # metres: a reference at y below it is near, else far
 
 @dataclass(frozen=True)
 class MatchConfig(Config):
-    point_tolerance: float = 1.5
-    match_fraction: float = 0.75
+    point_tolerance: ClassVar[float] = 1.5   # metres; both fixed by the Gen-LaneNet
+    match_fraction: ClassVar[float] = 0.75   # protocol, so not config keys
     eval_y_refs: tuple = DEFAULT_EVAL_Y_REFS
     prob_thresholds: tuple = DEFAULT_PROB_THRESHOLDS
 
     def __post_init__(self):
-        if self.point_tolerance <= 0:
-            raise InvalidInput("point_tolerance must be positive")
-        if not 0.0 <= self.match_fraction <= 1.0:
-            raise InvalidInput("match_fraction must be within [0, 1]")
         refs = np.asarray(self.eval_y_refs, dtype=float)
         if refs.size == 0 or not np.all(np.diff(refs) > 0):
             raise InvalidInput("eval_y_refs must be nonempty and strictly increasing")
-        if not self.prob_thresholds:
-            raise InvalidInput("prob_thresholds must be nonempty")
+        if not self.prob_thresholds or not all(0 <= t <= 1 for t in self.prob_thresholds):
+            raise InvalidInput("prob_thresholds must be nonempty and within [0, 1]")
 
 
 @dataclass

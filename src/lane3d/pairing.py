@@ -16,11 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .model import Config, Lane2D, Lane3D, PairMap
+from .model import Lane2D, Lane3D, PairMap
 
 
 @dataclass(frozen=True)
-class PairingConfig(Config):
+class PairingConfig:
     window: int = 2                      # sliding-window half width
     width_jump_threshold: float = 1.0    # meters
 

@@ -18,11 +18,12 @@ the data term is satisfied, so penalizing them adds no information (see
 pair_objective). Descent starts at the closed form and uses a backtracking
 line search, so the objective never increases across accepted steps.
 
-Descent starts with step 0.05 and stops at the first of three rules: no step
-of 20 halvings lowers J ("no_descent"); an accepted step moves no height by
-10 micrometres or more ("step"); or 400 accepted steps ("max_iters"). The
-step rule ends the slow crawl the L1 prior causes on noisy pairs, where
-hundreds of tiny steps each still lower J but move the heights by
+Descent starts with step 0.05 and accepts a trial only when its J is at most
+the current J, so a NaN trial is never a step. It stops at the first of three
+rules: no step of 20 halvings is accepted ("no_descent"); an accepted step
+moves no height by 10 micrometres or more ("step"); or 400 accepted steps
+("max_iters"). The step rule ends the slow crawl the L1 prior causes on noisy
+pairs, where hundreds of tiny steps each still lower J but move the heights by
 millimetres in total.
 """
 
@@ -35,7 +36,7 @@ import numpy as np
 from .errors import DegeneratePair, InvalidInput, InvariantViolation, NoPairing
 from .losses import lifted_width, second_difference_l1
 from .model import Config, Lane2D, Lane3D
-from .pairing import DEFAULT_PAIRING, PairingConfig, match_point_pairs
+from .pairing import DEFAULT_PAIRING, match_point_pairs
 from .projection import lift_from_virtual_top_xy
 
 _MIN_FLAT_WIDTH = 1e-9
@@ -63,7 +64,6 @@ def closed_form_heights(d_flat: np.ndarray, true_width: float, h_cam: float) -> 
 @dataclass(frozen=True)
 class SolveOptions(Config):
     lambda_geo: float = 1e-2
-    pairing: PairingConfig = DEFAULT_PAIRING
 
     def __post_init__(self):
         if self.lambda_geo < 0:
@@ -151,7 +151,7 @@ def prepare_pair(left: Lane2D, right: Lane2D, h_cam: float,
                  opts: SolveOptions = SolveOptions()):
     """Match a boundary pair and build the solve context plus the closed-form
     initial heights; raises NoPairing when the matcher rejects the pair."""
-    pm = match_point_pairs(left, right, opts.pairing)
+    pm = match_point_pairs(left, right, DEFAULT_PAIRING)
     if pm is None:
         raise NoPairing(f"width jump rejected pairing of {left.id!r} and {right.id!r}")
 
@@ -186,16 +186,15 @@ def solve_boundary_pair(left: Lane2D, right: Lane2D, h_cam: float,
     for it in range(1, _MAX_ITERS + 1):
         trial = z - step * grad
         trial_value, trial_grad = pair_objective(trial, ctx)
-        backtracked = trial_value > value
+        backtracked = not trial_value <= value
         if backtracked:
             # Backtracking: evaluate step/2, step/4, ... (each the previous
             # one halved, as a halving loop computes them) in one batched
-            # call and take the first that does not increase J; a NaN value
-            # counts as not increasing, as it does for the first trial.
+            # call and take the first whose J is at most the current J.
             steps = np.multiply.accumulate([step] + [0.5] * _MAX_HALVINGS)[1:]
             trials = z - steps[:, None] * grad
             values, grads = pair_objective(trials, ctx)
-            accepted = np.flatnonzero(~(values > value))
+            accepted = np.flatnonzero(values <= value)
             if len(accepted) == 0:
                 stop = "no_descent"   # no descent left at the smallest step
                 break

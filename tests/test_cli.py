@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import lane3d
+import lane3d.reconstruct
 from lane3d import model
 from lane3d.augment import AugmentConfig
 from lane3d.cli import _looks_like_report, main
@@ -23,6 +23,7 @@ from lane3d.evaluate import EvalReport, MatchConfig
 from lane3d.model import (CameraPose, FlatFrame, Intrinsics, Lane2D, Lane3D, Scene,
                           read_flat_frames, read_scenes, write_flat_frames,
                           write_scenes)
+from lane3d.pairing import PairingConfig
 from lane3d.reconstruct import LANE_STATUSES, STOP_REASONS, SolveOptions, solve_frame
 from lane3d.synth import GeneratorConfig
 
@@ -276,17 +277,16 @@ def test_reconstruct_prints_lane_status_counts(tmp_path, capsys):
     assert counts == {"ok": 7, "no_pairing": 1, "folded": 1}
 
 
-def test_reconstruct_writes_solver_clamped_only_on_clamped_lanes(tmp_path):
+def test_reconstruct_writes_solver_clamped_only_on_clamped_lanes(tmp_path, monkeypatch):
     scenes, flat, rec = (tmp_path / f"{name}.jsonl" for name in ("scenes", "flat", "rec"))
-    config = tmp_path / "reconstruct.json"
-    config.write_text(json.dumps({"pairing": CLAMPING_PAIRING}))
     run(["generate", "--count", 2, "--seed", 42, "--out", scenes])
     run(["project", "--in", scenes, "--out", flat])
     frames = read_flat_frames(flat)
     frames.append(FlatFrame(frame_id="clamping", camera=frames[0].camera,
                             lanes=clamping_flat_pair()))
     write_flat_frames(frames, flat)
-    assert run(["reconstruct", "--in", flat, "--config", config, "--out", rec]) == 0
+    monkeypatch.setattr(lane3d.reconstruct, "DEFAULT_PAIRING", PairingConfig(**CLAMPING_PAIRING))
+    assert run(["reconstruct", "--in", flat, "--out", rec]) == 0
     clamped = {(scene.frame_id, key, value) for scene in read_scenes(rec)
                for key, value in scene.metadata.items() if key.startswith("solver_clamped:")}
     assert clamped == {("clamping", f"solver_clamped:{lane_id}", "1") for lane_id in "lr"}
@@ -402,8 +402,9 @@ def test_misspelled_config_key_exit_2(tmp_path, capsys):
     scenes = tmp_path / "scenes.jsonl"
     run(["generate", "--count", 1, "--seed", 15, "--out", scenes])
     aug = tmp_path / "aug.json"
-    # keys older configs may hold (the fixed angle units, solver step, tol
-    # and max_iters, and near/far split) fail like any unknown key
+    # keys older configs may hold (the fixed angle units, solver step, tol,
+    # max_iters and pairing, near/far split, match tolerance and fraction)
+    # fail like any unknown key
     for config, message in [({"p_yew": 1.0}, "AugmentConfig.p_yew"),
                             ({"angle_unit": {"pitch": "radians", "roll": "degrees",
                                              "yaw": "degrees"}}, "AugmentConfig.angle_unit")]:
@@ -414,7 +415,11 @@ def test_misspelled_config_key_exit_2(tmp_path, capsys):
     ev = tmp_path / "ev.json"
     for config, message in [({"point_tolerence": 0.5}, "point_tolerence"),
                             ({"eval_y_refs": 5}, "eval_y_refs must be a JSON list"),
-                            ({"near_far_split": 40.0}, "MatchConfig.near_far_split")]:
+                            ({"prob_thresholds": [1.5, -2]},
+                             "prob_thresholds must be nonempty and within [0, 1]"),
+                            ({"near_far_split": 40.0}, "MatchConfig.near_far_split"),
+                            ({"point_tolerance": 1.5}, "MatchConfig.point_tolerance"),
+                            ({"match_fraction": 0.75}, "MatchConfig.match_fraction")]:
         ev.write_text(json.dumps(config))
         assert run(["evaluate", scenes, scenes, "--config", ev,
                     "--out", tmp_path / "report.json"]) == 2
@@ -427,7 +432,9 @@ def test_misspelled_config_key_exit_2(tmp_path, capsys):
                             ({"max_iters": 400}, "SolveOptions.max_iters"),
                             ({"step": 0.05}, "SolveOptions.step"),
                             ({"tol": 1e-10}, "SolveOptions.tol"),
-                            ({"max_iter": 5}, "SolveOptions.max_iter")]:
+                            ({"max_iter": 5}, "SolveOptions.max_iter"),
+                            ({"pairing": {"window": 2, "width_jump_threshold": 1.0}},
+                             "SolveOptions.pairing")]:
         rec.write_text(json.dumps(config))
         capsys.readouterr()
         assert run(["reconstruct", "--in", flat, "--config", rec,

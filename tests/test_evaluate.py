@@ -226,14 +226,14 @@ def test_offset_errors_z_bias_everywhere():
     assert errors.z_far == pytest.approx(0.05, abs=1e-9)
 
 
-def test_fscore_monotone_in_tolerance():
+def test_fscore_monotone_in_tolerance(monkeypatch):
     rng = np.random.default_rng(83)
     gt = lanes_at([-1.75, 1.75, 5.25])
     pred = [_biased_lane(lane, dx_far=float(rng.uniform(0.3, 2.5))) for lane in gt]
     last_f = None
     for tol in (3.0, 1.5, 0.8, 0.4, 0.2):
-        cfg = MatchConfig(point_tolerance=tol)
-        f = compute_fscore([match_lanes(gt, as_pred(pred), cfg, H_CAM)]).f_score
+        monkeypatch.setattr(MatchConfig, "point_tolerance", tol)
+        f = compute_fscore([match_lanes(gt, as_pred(pred), MatchConfig(), H_CAM)]).f_score
         if last_f is not None:
             assert f <= last_f + 1e-12
         last_f = f
