@@ -9,7 +9,6 @@ codes: 0 ok, 1 usage, 2 data error, 3 I/O.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from collections import Counter
 from pathlib import Path
@@ -139,7 +138,7 @@ def cmd_evaluate(args) -> int:
         joint = ev.joint_offset_errors(reports)
         # a path's bytes that are not UTF-8, which JSON text cannot hold, as \xNN
         out["joint"] = [{"source": src.encode("utf-8", "surrogateescape")
-                         .decode("utf-8", "backslashreplace"), **dataclasses.asdict(j)}
+                         .decode("utf-8", "backslashreplace"), **model._json_form(j)}
                         for src, j in zip([args.pred, *args.joint], joint)]
     model.write_json(out, args.out)
     if args.csv:

@@ -18,6 +18,8 @@ kept-prediction set, on those tables' kept columns.
 A report is its matchings, the sweep (pr_curve) and the best-F threshold's
 per-frame matchings (per_frame): every other number derives from them, and
 it reads back only if each key it writes holds the value it would write.
+The report records are written by model._json_form and their numbers read
+by model._numbers, so a new number is one dataclass field.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import astuple, dataclass, field, fields, is_dataclass
+from dataclasses import astuple, dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import InvalidInput, located
-from .model import (Config, Lane3D, Prediction, Scene, _coerce, _is_utf8, _numbers,
-                    _same_json, read_json, write_json)
+from .model import (Config, Lane3D, Prediction, Scene, _coerce, _is_utf8, _json_form,
+                    _numbers, _same_json, read_json, write_json)
 from .projection import resample_flat
 
 DEFAULT_EVAL_Y_REFS = (5.0, 10.0, 15.0, 20.0, 30.0, 40.0, 50.0, 60.0, 80.0, 100.0)
@@ -309,23 +311,6 @@ def compute_offset_errors(pair_stats: list[PairStats]) -> OffsetErrors:
                         empty=not pair_stats)
 
 
-# default of each number field of a pair, by type: from_dict coerces with it
-_PAIR_NUMBERS = {**dict.fromkeys(("cost", "x_near_sum", "x_far_sum", "z_near_sum",
-                                  "z_far_sum"), 0.0), "near_count": 0, "far_count": 0}
-
-
-def _json_form(value):
-    """A report value in its JSON form: a dataclass becomes an object of its
-    fields in declaration order, each under its metadata's json_key if any,
-    else its name; a list or tuple becomes a list; anything else stays."""
-    if is_dataclass(value):
-        return {f.metadata.get("json_key", f.name): _json_form(getattr(value, f.name))
-                for f in fields(value)}
-    if isinstance(value, (list, tuple)):
-        return [_json_form(v) for v in value]
-    return value
-
-
 @dataclass
 class EvalReport:
     """The sweep and the best threshold's matchings; the other fields derive from them."""
@@ -379,10 +364,10 @@ class EvalReport:
             pr_curve=[_coerce("pr_curve", (), t) for t in d["pr_curve"]],
             per_frame=[
                 FrameBreakdown(
-                    frame_id=fb["frame_id"], **_numbers("frame", fb, {"fp": 0, "fn": 0}),
+                    frame_id=fb["frame_id"], **_numbers("frame", fb, FrameBreakdown),
                     pair_stats=[
                         PairStats(gt_id=p["gt_id"], pred_id=p["pred_id"],
-                                  **_numbers("pair", p, _PAIR_NUMBERS))
+                                  **_numbers("pair", p, PairStats))
                         for p in fb["pairs"]
                     ])
                 for fb in frames

@@ -1,5 +1,7 @@
 """Core domain types, the JSONL scene/prediction file formats, and the one
-reader and writer of JSON documents (configs, reports).
+reader and writer of JSON documents (configs, reports). A record's fields
+are listed only in its dataclass: _json_form writes them and _numbers reads
+its number fields back, each by the field's declared type.
 
 Coordinate conventions shared by every module:
   ego frame    right-handed; origin at the perpendicular projection of the
@@ -135,7 +137,7 @@ class _Lane:
     visibility: np.ndarray   # (N,) uint8 in {0, 1}
 
     def __post_init__(self):
-        _require(bool(self.id), "lane id must be nonempty")
+        _require(self.id != "", "lane id must be nonempty")
         dim, pts = self._dim, np.asarray(self.points, dtype=float)
         with located("lane", self.id):
             if pts.size == 0:
@@ -219,30 +221,34 @@ class PairMap:
 # shortest round-trip notation, strings as UTF-8. write(read(write(x))) is
 # byte-identical.
 
-def camera_to_dict(cam: CameraPose) -> dict:
-    k = cam.intrinsics
-    return {
-        "height_m": float(cam.height_m),
-        "pitch_rad": float(cam.pitch_rad),
-        "intrinsics": {
-            "fx": float(k.fx), "fy": float(k.fy),
-            "cx": float(k.cx), "cy": float(k.cy),
-            "width_px": int(k.width_px), "height_px": int(k.height_px),
-        },
-    }
+_NUMBER_FIELDS = {"float": float, "int": int}   # a number field's annotation, its type
 
 
-def _numbers(name: str, d: dict, defaults: dict) -> dict:
-    """The keys of defaults read from d, each coerced by its default's type."""
-    return {key: _coerce(f"{name}.{key}", default, d[key])
-            for key, default in defaults.items()}
+def _json_form(value):
+    """A record value in its JSON form: a dataclass becomes an object of its
+    fields in declaration order, each under its metadata's json_key if any,
+    else its name, and a float or int field cast to its type; a list or tuple
+    becomes a list; anything else stays. The one writer of record fields."""
+    if is_dataclass(value):
+        return {f.metadata.get("json_key", f.name):
+                _NUMBER_FIELDS.get(f.type, _json_form)(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_json_form(v) for v in value]
+    return value
+
+
+def _numbers(name: str, d: dict, cls) -> dict:
+    """The float and int init fields of the dataclass cls read from d, in
+    declaration order, each coerced by its type. The one reader of record
+    numbers."""
+    return {f.name: _coerce(f"{name}.{f.name}", _NUMBER_FIELDS[f.type](), d[f.name])
+            for f in fields(cls) if f.init and f.type in _NUMBER_FIELDS}
 
 
 def camera_from_dict(d: dict) -> CameraPose:
-    return CameraPose(
-        **_numbers("camera", d, {"height_m": 0.0, "pitch_rad": 0.0}),
-        intrinsics=Intrinsics(**_numbers("camera.intrinsics", d["intrinsics"], {
-            "fx": 0.0, "fy": 0.0, "cx": 0.0, "cy": 0.0, "width_px": 0, "height_px": 0})))
+    return CameraPose(**_numbers("camera", d, CameraPose), intrinsics=Intrinsics(
+        **_numbers("camera.intrinsics", d["intrinsics"], Intrinsics)))
 
 
 def _lane_to_dict(lane: _Lane, array) -> dict:
@@ -289,7 +295,7 @@ class _Frame:
     _lane_type = Lane3D
 
     def __post_init__(self):
-        _require(bool(self.frame_id), "frame_id must be nonempty")
+        _require(self.frame_id != "", "frame_id must be nonempty")
         ids = [lane.id for lane in self.lanes]
         with located("frame", self.frame_id):
             _require(all(map(_is_utf8, self._strings())),
@@ -309,7 +315,7 @@ class _Frame:
         description of the record, which to_dict and the writer share."""
         return {
             "frame_id": self.frame_id,
-            "camera": camera_to_dict(self.camera),
+            "camera": _json_form(self.camera),
             "lanes": [_lane_to_dict(lane, array) for lane in self.lanes],
         }
 

@@ -11,7 +11,7 @@ constant-width prior holds on these scenes to rounding error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -46,17 +46,16 @@ def _default_camera() -> CameraPose:
 
 
 @dataclass(frozen=True)
-class RoadSpec:
-    """Parametric road: centerline x(y), height profile, boundary layout."""
+class _Road:
+    """The boundary layout a RoadSpec and a GeneratorConfig share: the camera,
+    the lane width and count, and the y grid the road is sampled at."""
 
-    centerline_x_coeffs: tuple = (0.0,)          # x(y) = c0 + c1 y + c2 y^2 + ...
-    height_profile: HillProfile | None = None    # None: a flat road
+    camera: CameraPose = field(default_factory=_default_camera)
     lane_width: float = 3.5
     num_boundaries: int = 2
     y_start: float = 3.0
     y_end: float = 100.0
     y_step: float = 4.0
-    camera: CameraPose = field(default_factory=_default_camera)
 
     def __post_init__(self):
         if self.lane_width <= 0:
@@ -67,14 +66,24 @@ class RoadSpec:
             raise InvalidInput("y_start must be below y_end")
         if self.y_step <= 0:
             raise InvalidInput("y_step must be positive")
-        ys = self.y_grid()
-        if len(ys) < 2:
+        if len(self.y_grid()) < 2:
             raise InvalidInput("the y grid needs at least two points")
-        if np.max(self.z_at(ys)) >= self.camera.height_m:
-            raise InvalidInput("height profile must stay below the camera height")
 
     def y_grid(self) -> np.ndarray:
         return np.arange(self.y_start, self.y_end + 1e-9, self.y_step)
+
+
+@dataclass(frozen=True)
+class RoadSpec(_Road):
+    """Parametric road: centerline x(y), height profile, boundary layout."""
+
+    centerline_x_coeffs: tuple = (0.0,)          # x(y) = c0 + c1 y + c2 y^2 + ...
+    height_profile: HillProfile | None = None    # None: a flat road
+
+    def __post_init__(self):
+        super().__post_init__()
+        if np.max(self.z_at(self.y_grid())) >= self.camera.height_m:
+            raise InvalidInput("height profile must stay below the camera height")
 
     def x_at(self, y) -> np.ndarray:
         return np.polynomial.polynomial.polyval(np.asarray(y, dtype=float),
@@ -134,17 +143,12 @@ class HillRanges(Config):
 
 
 @dataclass(frozen=True)
-class GeneratorConfig(Config):
-    """The road every scene shares and the ranges its varying parameters are
-    drawn from: the centerline offset and curvature, whether the road is
-    flat (with probability flat_fraction) and otherwise its hill."""
+class GeneratorConfig(_Road, Config):
+    """The road every scene shares, its _Road fields with their checks, and
+    the ranges its varying parameters are drawn from: the centerline offset
+    and curvature, whether the road is flat (with probability flat_fraction)
+    and otherwise its hill."""
 
-    camera: CameraPose = field(default_factory=_default_camera)
-    lane_width: float = 3.5
-    num_boundaries: int = 2
-    y_start: float = 3.0
-    y_end: float = 100.0
-    y_step: float = 4.0
     x_offset_range: tuple[float, float] = (-2.0, 2.0)
     curvature_range: tuple[float, float] = (-0.0008, 0.0008)
     flat_fraction: float = 0.3
@@ -156,7 +160,7 @@ class GeneratorConfig(Config):
         check_range("curvature_range", self.curvature_range)
         if not 0.0 <= self.flat_fraction <= 1.0:
             raise InvalidInput("flat_fraction must be within [0, 1]")
-        self.road()
+        super().__post_init__()
         # a hill is drawn from [lo, hi) ranges unless every road is flat; a
         # peak reaching the camera height would fail RoadSpec's check and a
         # nonpositive length HillProfile's, mid-run
@@ -174,11 +178,8 @@ class GeneratorConfig(Config):
                 f"GeneratorConfig.hill.length_range must be positive, got {[lo, hi]}")
 
     def road(self, **drawn) -> RoadSpec:
-        """The road spec of the fields every scene shares plus the drawn ones;
-        __post_init__ builds one, so the config carries RoadSpec's checks."""
-        return RoadSpec(lane_width=self.lane_width, num_boundaries=self.num_boundaries,
-                        y_start=self.y_start, y_end=self.y_end, y_step=self.y_step,
-                        camera=self.camera, **drawn)
+        """The road spec of the _Road fields every scene shares plus the drawn ones."""
+        return RoadSpec(**{f.name: getattr(self, f.name) for f in fields(_Road)}, **drawn)
 
 
 def _flat_step_ok(spec: RoadSpec, min_step: float) -> bool:

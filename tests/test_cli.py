@@ -505,8 +505,9 @@ def test_evaluate_joint_with_identical_method(tmp_path):
     assert [entry["source"] for entry in doc["joint"]] == [
         str(scenes), str(other).replace("\udcff", "\\xff")]
     for entry in doc["joint"]:
+        assert list(entry) == ["source", "x_far", "z_far", "pair_count", "empty_intersection"]
+        assert type(entry["pair_count"]) is int and entry["empty_intersection"] is False
         assert entry["x_far"] == doc["x_err_far"]
-        assert not entry["empty_intersection"]
 
 
 def test_evaluate_frame_mismatch_exit_2(tmp_path, capsys):
@@ -693,6 +694,16 @@ def test_plot_report_chart(tmp_path, capsys):
         capsys.readouterr()
         assert run(["plot", "--in", bad, "--out", out_dir]) == 2
         assert "bad.json" in capsys.readouterr().err
+    # a number is read by its field's type, and a missing key is named
+    without_fn = {key: value for key, value in frame.items() if key != "fn"}
+    for broken, message in [
+            ({**doc, "per_frame": [{**frame, "pairs": [{**pair, "near_count": 1.5}]}]},
+             "bad.json: pair.near_count must be an integer, got 1.5\n"),
+            ({**doc, "per_frame": [without_fn]}, "bad.json: malformed record: KeyError('fn')\n")]:
+        bad.write_text(json.dumps(broken))
+        capsys.readouterr()
+        assert run(["plot", "--in", bad, "--out", out_dir]) == 2
+        assert message in capsys.readouterr().err
     # pair sums each finite can add up past the float range: x_err_far
     # would be inf, which the report writes as null
     assert len(frame["pairs"]) == 2
@@ -963,7 +974,12 @@ def test_nonfinite_point_or_truncated_line_exit_2_naming_it(tmp_path, capsys, si
      "bad.jsonl:2: camera.intrinsics.width_px must be an integer, got 1.1805916207174113e+21"),
     ({'"frame_id":"frame_1"': '"frame_id":5'},
      "bad.jsonl:2: frame 5: ids and metadata must be UTF-8 strings"),
-], ids=["lone-surrogate-id", "width-2**70", "int-frame-id"])
+    # only "" is an empty id: a falsy one is not a string
+    ({'"frame_id":"frame_1"': '"frame_id":0'},
+     "bad.jsonl:2: frame 0: ids and metadata must be UTF-8 strings"),
+    ({'"id":"left"': '"id":null'},
+     "bad.jsonl:2: frame 'frame_1': ids and metadata must be UTF-8 strings"),
+], ids=["lone-surrogate-id", "width-2**70", "int-frame-id", "zero-frame-id", "null-lane-id"])
 @pytest.mark.parametrize("command", [["augment", "--in"], ["plot", "--in"]],
                          ids=["augment", "plot"])
 def test_value_the_writer_cannot_write_exit_2_naming_it(tmp_path, capsys, simple_scene,

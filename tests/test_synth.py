@@ -155,3 +155,9 @@ def test_generator_config_sections_keep_the_defaults_they_omit():
     GeneratorConfig(hill=HillRanges(length_range=(0.0, 5.0)), flat_fraction=1.0)
     with pytest.raises(InvalidInput, match="length_range"):
         HillRanges(length_range=(1.0,))
+
+
+def test_generator_config_road_is_its_layout_plus_the_drawn_fields():
+    assert GeneratorConfig().road() == RoadSpec()
+    spec = GeneratorConfig(lane_width=3.0, y_end=60.0).road(centerline_x_coeffs=(1.0,))
+    assert (spec.lane_width, spec.y_end, spec.centerline_x_coeffs) == (3.0, 60.0, (1.0,))

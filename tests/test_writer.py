@@ -135,6 +135,20 @@ def test_boundary_numbers_read_back_bit_for_bit(tmp_path, pose):
     assert [_bits(row[0]) for row in rows] == list(map(_bits, BOUNDARY_TABLE))
 
 
+def test_camera_numbers_are_written_as_their_field_types(tmp_path):
+    """A camera built from Python ints writes each float field with a decimal
+    point and each int field without one."""
+    camera = CameraPose(height_m=2, pitch_rad=0,
+                        intrinsics=Intrinsics(1000, 1000, 960, 540, 1920, 1080))
+    lane = Lane3D(id="a", points=[[0.0, 5.0, 0.0]], visibility=[1])
+    path = tmp_path / "scene.jsonl"
+    write_scenes([Scene(frame_id="f", camera=camera, lanes=[lane])], path)
+    assert path.read_bytes() == (
+        b'{"frame_id":"f","camera":{"height_m":2.0,"pitch_rad":0.0,"intrinsics":{"fx":1000.0,'
+        b'"fy":1000.0,"cx":960.0,"cy":540.0,"width_px":1920,"height_px":1080}},'
+        b'"lanes":[{"id":"a","points":[[0.0,5.0,0.0]],"visibility":[1]}],"metadata":{}}\n')
+
+
 @pytest.mark.parametrize("size", [{"width_px": 2 ** 64}, {"width_px": 2 ** 70},
                                   {"height_px": 2 ** 64}])
 def test_image_size_must_be_below_2_to_the_64(size):
