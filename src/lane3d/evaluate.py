@@ -59,6 +59,9 @@ class MatchConfig(Config):
             raise InvalidInput("eval_y_refs must be nonempty and strictly increasing")
         if not self.prob_thresholds or not all(0 <= t <= 1 for t in self.prob_thresholds):
             raise InvalidInput("prob_thresholds must be nonempty and within [0, 1]")
+        # floats however the config was built, as from_dict gives them, so a
+        # report's thresholds read back as written
+        object.__setattr__(self, "prob_thresholds", tuple(map(float, self.prob_thresholds)))
 
 
 @dataclass

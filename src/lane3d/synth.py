@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import InvalidInput
-from .model import CameraPose, Config, Intrinsics, Lane3D, Scene, check_range
+from .model import CameraPose, Config, Intrinsics, Lane3D, Scene
 from .projection import compute_visibility
 
 
@@ -126,56 +126,35 @@ def generate_scene(spec: RoadSpec, seed: int = 0, frame_id: str | None = None) -
 
 
 # ---------------------------------------------------------------------------
-# Batch scene generation for the CLI: a config of parameter ranges from which
-# per-scene road specs are drawn.
+# Batch scene generation for the CLI: a config of the road every scene shares,
+# and the fixed ranges each scene's shape is drawn from. No workload sets the
+# shape ranges, so they are constants, not config keys (see README, Configs).
 
-@dataclass(frozen=True)
-class HillRanges(Config):
-    """Ranges of the raised-cosine hill draws."""
-
-    peak_z_range: tuple[float, float] = (0.05, 0.6)
-    start_y_range: tuple[float, float] = (20.0, 50.0)
-    length_range: tuple[float, float] = (60.0, 160.0)
-
-    def __post_init__(self):
-        for name in ("peak_z_range", "start_y_range", "length_range"):
-            check_range(name, getattr(self, name))
+X_OFFSET_RANGE = (-2.0, 2.0)            # centerline offset c0, metres
+CURVATURE_RANGE = (-0.0008, 0.0008)     # centerline c2, 1/metres
+FLAT_FRACTION = 0.3                     # probability that a road is flat
+HILL_PEAK_Z_RANGE = (0.05, 0.6)         # raised-cosine hill draws, metres
+HILL_START_Y_RANGE = (20.0, 50.0)
+HILL_LENGTH_RANGE = (60.0, 160.0)
 
 
 @dataclass(frozen=True)
 class GeneratorConfig(_Road, Config):
-    """The road every scene shares, its _Road fields with their checks, and
-    the ranges its varying parameters are drawn from: the centerline offset
-    and curvature, whether the road is flat (with probability flat_fraction)
-    and otherwise its hill."""
+    """The road every scene shares: its _Road fields with their checks, and
+    the least flat-ground y spacing a hill draw may leave. The ranges each
+    scene's shape is drawn from are this module's constants, X_OFFSET_RANGE
+    to HILL_LENGTH_RANGE, not config keys."""
 
-    x_offset_range: tuple[float, float] = (-2.0, 2.0)
-    curvature_range: tuple[float, float] = (-0.0008, 0.0008)
-    flat_fraction: float = 0.3
-    hill: HillRanges = HillRanges()
     min_flat_step: float = 1.5
 
     def __post_init__(self):
-        check_range("x_offset_range", self.x_offset_range)
-        check_range("curvature_range", self.curvature_range)
-        if not 0.0 <= self.flat_fraction <= 1.0:
-            raise InvalidInput("flat_fraction must be within [0, 1]")
         super().__post_init__()
-        # a hill is drawn from [lo, hi) ranges unless every road is flat; a
-        # peak reaching the camera height would fail RoadSpec's check and a
-        # nonpositive length HillProfile's, mid-run
-        if self.flat_fraction == 1.0:
-            return
-        lo, hi = self.hill.peak_z_range
-        h = self.camera.height_m
-        if hi > h or lo >= h:
+        # peaks are drawn from [lo, hi); one reaching the camera height would
+        # fail RoadSpec's check mid-run
+        if self.camera.height_m < HILL_PEAK_Z_RANGE[1]:
             raise InvalidInput(
-                "GeneratorConfig.hill.peak_z_range must stay below the camera height "
-                f"{h}, got {[lo, hi]}")
-        lo, hi = self.hill.length_range
-        if lo <= 0:
-            raise InvalidInput(
-                f"GeneratorConfig.hill.length_range must be positive, got {[lo, hi]}")
+                "GeneratorConfig.camera.height_m must be at least the highest hill peak "
+                f"{HILL_PEAK_Z_RANGE[1]}, got {self.camera.height_m}")
 
     def road(self, **drawn) -> RoadSpec:
         """The road spec of the _Road fields every scene shares plus the drawn ones."""
@@ -193,18 +172,19 @@ def _flat_step_ok(spec: RoadSpec, min_step: float) -> bool:
 
 
 def sample_road_spec(cfg: GeneratorConfig, rng: np.random.Generator) -> RoadSpec:
-    """Draw one road spec from the generator config's ranges; redraws hill
-    profiles whose flat projection would be too compressed."""
-    x0 = rng.uniform(*cfg.x_offset_range)
-    curv = rng.uniform(*cfg.curvature_range)
+    """Draw one road spec on the config's road from this module's range
+    constants, in a fixed order: X_OFFSET_RANGE, CURVATURE_RANGE, flat with
+    probability FLAT_FRACTION, else a hill from the HILL_* ranges; redraws
+    hill profiles whose flat projection would be too compressed."""
+    x0 = rng.uniform(*X_OFFSET_RANGE)
+    curv = rng.uniform(*CURVATURE_RANGE)
     centerline = (x0, 0.0, curv)
-    if rng.uniform() < cfg.flat_fraction:
+    if rng.uniform() < FLAT_FRACTION:
         return cfg.road(centerline_x_coeffs=centerline)
-    hill = cfg.hill
     for _ in range(100):
-        profile = HillProfile(start_y=rng.uniform(*hill.start_y_range),
-                              length=rng.uniform(*hill.length_range),
-                              peak_z=rng.uniform(*hill.peak_z_range))
+        profile = HillProfile(start_y=rng.uniform(*HILL_START_Y_RANGE),
+                              length=rng.uniform(*HILL_LENGTH_RANGE),
+                              peak_z=rng.uniform(*HILL_PEAK_Z_RANGE))
         spec = cfg.road(centerline_x_coeffs=centerline, height_profile=profile)
         if _flat_step_ok(spec, cfg.min_flat_step):
             return spec

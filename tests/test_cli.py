@@ -25,7 +25,7 @@ from lane3d.model import (CameraPose, FlatFrame, Intrinsics, Lane2D, Lane3D, Sce
                           write_scenes)
 from lane3d.pairing import PairingConfig
 from lane3d.reconstruct import LANE_STATUSES, STOP_REASONS, SolveOptions, solve_frame
-from lane3d.synth import GeneratorConfig
+from lane3d.synth import GeneratorConfig, RoadSpec, generate_scene
 
 from conftest import CLAMPING_PAIRING, clamping_flat_pair
 
@@ -149,9 +149,9 @@ def test_project_then_reconstruct_flat(tmp_path):
     scenes = tmp_path / "scenes.jsonl"
     flat = tmp_path / "flat.jsonl"
     rec = tmp_path / "rec.jsonl"
-    cfg = tmp_path / "gen.json"
-    cfg.write_text(json.dumps({"flat_fraction": 1.0}))
-    run(["generate", "--count", 3, "--seed", 5, "--config", cfg, "--out", scenes])
+    write_scenes([generate_scene(RoadSpec(centerline_x_coeffs=(x0, 0.0, curv)), seed=k)
+                  for k, (x0, curv) in enumerate([(0.0, 0.0), (-1.5, 6e-4), (2.0, -8e-4)])],
+                 scenes)
     assert run(["project", "--in", scenes, "--out", flat]) == 0
     assert run(["reconstruct", "--in", flat, "--out", rec]) == 0
     for scene in read_scenes(rec):
@@ -159,6 +159,49 @@ def test_project_then_reconstruct_flat(tmp_path):
             assert np.max(np.abs(lane.points[:, 2])) < 1e-6
         assert all(v == "ok" for k, v in scene.metadata.items()
                    if k.startswith("solver_status:"))
+
+
+def test_a_frame_gets_the_same_output_in_a_shuffled_copy_and_a_subset(tmp_path):
+    # project, reconstruct, evaluate and plot give each frame an output that
+    # depends only on that frame and the config, not on its file (augment
+    # keys each draw on the line number, so it is left out)
+    gen, ev = tmp_path / "gen.json", tmp_path / "ev.json"
+    gen.write_text(json.dumps({"num_boundaries": 3}))
+    # one threshold: a sweep picks its best threshold over the whole file
+    ev.write_text(json.dumps({"prob_thresholds": [0.5]}))
+    source = tmp_path / "source.jsonl"
+    assert run(["generate", "--count", 12, "--seed", 7, "--config", gen, "--out", source]) == 0
+    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    order = np.random.default_rng(0).permutation(len(lines))
+
+    def outputs(name, scene_lines):
+        d = tmp_path / name
+        d.mkdir()
+        scenes, flat, rec, report = (d / f for f in ("scenes.jsonl", "flat.jsonl", "rec.jsonl",
+                                                     "report.json"))
+        scenes.write_text("".join(scene_lines), encoding="utf-8")
+        assert run(["project", "--in", scenes, "--out", flat]) == 0
+        assert run(["reconstruct", "--in", flat, "--out", rec]) == 0
+        assert run(["evaluate", scenes, rec, "--config", ev, "--out", report]) == 0
+        assert run(["plot", "--in", scenes, "--pred", rec, "--out", d / "figs"]) == 0
+        by_id = {}
+        for path in (flat, rec):
+            for line in path.read_text(encoding="utf-8").splitlines():
+                by_id.setdefault(json.loads(line)["frame_id"], []).append(line)
+        for entry in json.loads(report.read_text(encoding="utf-8"))["per_frame"]:
+            by_id[entry["frame_id"]].append(entry)
+        assert sorted(p.name for p in (d / "figs").iterdir()) == sorted(f"{i}.svg" for i in by_id)
+        for frame_id, out in by_id.items():
+            out.append((d / "figs" / f"{frame_id}.svg").read_bytes())
+            assert len(out) == 4, frame_id
+        return by_id
+
+    full = outputs("full", lines)
+    assert len(full) == 12
+    for name, subset in [("shuffled", [lines[i] for i in order]), ("every_other", lines[::2])]:
+        got = outputs(name, subset)
+        assert got == {frame_id: full[frame_id] for frame_id in got}, name
+        assert len(got) == len(subset)
 
 
 EDGE_CASES = ("one_point", "no_lanes", "coincident", "huge", "below_camera", "negative_y")
@@ -359,9 +402,19 @@ def test_shipped_configs_parse_to_the_code_defaults():
 
 def test_misspelled_config_key_exit_2(tmp_path, capsys):
     gen = tmp_path / "gen.json"
-    camera = json.loads((Path(CONFIGS) / "generate_default.json").read_text())["camera"]
+    shipped = json.loads((Path(CONFIGS) / "generate_default.json").read_text())
+    camera = shipped["camera"]
+    # the road-shape ranges are synth constants; a config that still names one
+    # (as the shipped file did) fails like any unknown key
+    old_shipped = {**shipped, "x_offset_range": [-2.0, 2.0], "curvature_range": [-0.0008, 0.0008],
+                   "flat_fraction": 0.3, "hill": {"peak_z_range": [0.05, 0.6],
+                                                  "start_y_range": [20.0, 50.0],
+                                                  "length_range": [60.0, 160.0]}}
     for config, key in [({"lane_widht": 3.0}, "lane_widht"),
-                        ({"hill": {"peak_z_rnage": [0.1, 0.2]}}, "hill.peak_z_rnage"),
+                        (old_shipped,
+                         "gen.json: unknown config keys: GeneratorConfig.curvature_range, "
+                         "GeneratorConfig.flat_fraction, GeneratorConfig.hill, "
+                         "GeneratorConfig.x_offset_range\n"),
                         ({"camera": {**camera, "roll_rad": 0.2}}, "camera.roll_rad"),
                         ({"camera": {**camera, "intrinsics": {**camera["intrinsics"],
                                                               "skew": 0.0}}},
@@ -371,34 +424,23 @@ def test_misspelled_config_key_exit_2(tmp_path, capsys):
                         ({"num_boundaries": 2.7}, "num_boundaries must be an integer"),
                         ({"lane_width": "3.5"}, "lane_width must be a number"),
                         ({"min_flat_step": "1"}, "min_flat_step must be a number"),
-                        ({"x_offset_range": [1.0]}, "x_offset_range must be [lo, hi]"),
-                        ({"x_offset_range": 5}, "x_offset_range must be a JSON list"),
-                        ({"flat_fraction": 1.5}, "flat_fraction must be within [0, 1]"),
                         # a number beyond the double range is not JSON orjson reads
-                        ('{"curvature_range": [0, 1e400]}',
+                        ('{"lane_width": 1e400}',
                          "gen.json: invalid JSON: number is infinity when parsed as double: "
-                         "line 1 column 25"),
+                         "line 1 column 16"),
                         # values the road spec rejects fail at parse time, before any draw
                         ({"lane_width": -1}, "lane_width must be positive"),
-                        ({"y_end": 4.0, "flat_fraction": 0.0}, "y grid needs at least two points"),
-                        ({"hill": {"peak_z_range": [1.0, 2.0]}, "flat_fraction": 0.0},
-                         "GeneratorConfig.hill.peak_z_range must stay below the camera height"),
-                        ({"hill": {"peak_z_range": [1.78, 1.78]}},
-                         "GeneratorConfig.hill.peak_z_range must stay below the camera height"),
-                        ({"hill": {"length_range": [-10.0, 5.0]}},
-                         "gen.json: GeneratorConfig.hill.length_range must be positive, "
-                         "got [-10.0, 5.0]")]:
+                        ({"y_end": 4.0}, "y grid needs at least two points"),
+                        ({"camera": {**camera, "height_m": 0.5}},
+                         "gen.json: GeneratorConfig.camera.height_m must be at least the highest "
+                         "hill peak 0.6, got 0.5")]:
         gen.write_text(config if isinstance(config, str) else json.dumps(config))
         assert run(["generate", "--count", 0, "--config", gen,
                     "--out", tmp_path / "gen.jsonl"]) == 2
         assert key in capsys.readouterr().err
-    # peaks are drawn from [lo, hi), and no hill when every road is flat
-    for config in [{"hill": {"peak_z_range": [1.0, 1.78]}, "flat_fraction": 0.0},
-                   {"hill": {"peak_z_range": [1.0, 2.0]}, "flat_fraction": 1.0},
-                   {"hill": {"length_range": [-10.0, 5.0]}, "flat_fraction": 1.0}]:
-        gen.write_text(json.dumps(config))
-        assert run(["generate", "--count", 5, "--config", gen,
-                    "--out", tmp_path / "gen.jsonl"]) == 0
+    # peaks are drawn from [lo, hi), so a camera at the highest peak passes
+    gen.write_text(json.dumps({"camera": {**camera, "height_m": 0.6}}))
+    assert run(["generate", "--count", 5, "--config", gen, "--out", tmp_path / "gen.jsonl"]) == 0
     scenes = tmp_path / "scenes.jsonl"
     run(["generate", "--count", 1, "--seed", 15, "--out", scenes])
     aug = tmp_path / "aug.json"
@@ -407,7 +449,9 @@ def test_misspelled_config_key_exit_2(tmp_path, capsys):
     # fail like any unknown key
     for config, message in [({"p_yew": 1.0}, "AugmentConfig.p_yew"),
                             ({"angle_unit": {"pitch": "radians", "roll": "degrees",
-                                             "yaw": "degrees"}}, "AugmentConfig.angle_unit")]:
+                                             "yaw": "degrees"}}, "AugmentConfig.angle_unit"),
+                            # a bad value names its field
+                            ({"yaw_range": [1.0]}, "yaw_range must be [lo, hi]")]:
         aug.write_text(json.dumps(config))
         assert run(["augment", "--in", scenes, "--config", aug,
                     "--out", tmp_path / "aug.jsonl"]) == 2

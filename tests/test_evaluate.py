@@ -390,6 +390,19 @@ def test_report_reads_back_equal_and_rewrites_byte_identically(tmp_path, pose):
     assert again.read_bytes() == cli.read_bytes()
 
 
+def test_report_under_integer_thresholds_from_python_reads_back(tmp_path):
+    # thresholds are floats however the config was built, so a report written
+    # under MatchConfig(prob_thresholds=(0, 1)) reads back as the same report
+    cfg = MatchConfig(prob_thresholds=(0, 1))
+    assert cfg.prob_thresholds == (0.0, 1.0)
+    assert all(type(t) is float for t in cfg.prob_thresholds)
+    scenes = [generate_scene(RoadSpec(), seed=k, frame_id=f"f{k}") for k in range(2)]
+    report = _report_for(scenes, scenes, cfg)
+    path = tmp_path / "report.json"
+    write_report(report, path)
+    assert read_report(path) == report
+
+
 def test_resampling_a_folded_lane_raises():
     with pytest.raises(InvariantViolation, match="fold"):
         resample_flat(FOLDED_LANE, H_CAM, MatchConfig().eval_y_refs)

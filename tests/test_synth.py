@@ -7,8 +7,7 @@ from lane3d.errors import InvalidInput, InvariantViolation
 from lane3d.model import Lane3D
 from lane3d.projection import (lift_from_virtual_top_xy, project_virtual_top_xy,
                                resample_flat)
-from lane3d.synth import (GeneratorConfig, HillProfile, HillRanges, RoadSpec, generate_scene,
-                          generate_scenes)
+from lane3d.synth import GeneratorConfig, HillProfile, RoadSpec, generate_scene, generate_scenes
 
 from conftest import H_CAM, straight_lane
 
@@ -139,22 +138,9 @@ def test_generate_scenes_deterministic():
 
 
 def test_generator_config_sections_keep_the_defaults_they_omit():
-    cfg = GeneratorConfig.from_dict({"camera": {"pitch_rad": 0.02},
-                                     "hill": {"peak_z_range": [0.1, 0.2]}})
+    cfg = GeneratorConfig.from_dict({"camera": {"pitch_rad": 0.02}})
     assert cfg.camera == replace(GeneratorConfig().camera, pitch_rad=0.02)
-    assert cfg.hill == HillRanges(peak_z_range=(0.1, 0.2))
     assert generate_scenes({"camera": {"pitch_rad": 0.02}}, 1, seed=0)[0].camera == cfg.camera
-    for bad, name in [({"x_offset_range": (2.0, 1.0)}, "x_offset_range"),
-                      ({"curvature_range": (0.0, 0.1, 0.2)}, "curvature_range"),
-                      ({"flat_fraction": -0.1}, "flat_fraction"),
-                      # lengths are drawn from [lo, hi), unless every road is flat
-                      ({"hill": HillRanges(length_range=(0.0, 5.0))},
-                       r"hill\.length_range must be positive, got \[0\.0, 5\.0\]")]:
-        with pytest.raises(InvalidInput, match=name):
-            GeneratorConfig(**bad)
-    GeneratorConfig(hill=HillRanges(length_range=(0.0, 5.0)), flat_fraction=1.0)
-    with pytest.raises(InvalidInput, match="length_range"):
-        HillRanges(length_range=(1.0,))
 
 
 def test_generator_config_road_is_its_layout_plus_the_drawn_fields():
